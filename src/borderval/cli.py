@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from . import families
 from .border_core import compute_pi, pi_to_pi_prime, text_to_word
-from .pi_online import OnlineValidator
+from .pi_online import OnlineValidator, Verdict
 from .pi_prime_online import SlopeValidator, validate_g_stream
 from .pi_realtime import RealTimeValidator
 from .pi_succinct import SuccinctValidator
@@ -33,13 +34,19 @@ class CliError(Exception):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="ascii") as fh:
+                text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise CliError(f"{path}: not ASCII") from None
+    if not text.isascii():  # stdin decodes with the locale's encoding
+        raise CliError(f"{path}: not ASCII")
+    return text
 
 
 def _parse_ints(text: str, path: str) -> list[int]:
@@ -78,39 +85,101 @@ def _cmd_compute(args) -> int:
     return EXIT_VALID
 
 
-def _make_engine(args):
-    n_max = args.n_max
-    if args.engine == "basic":
-        return OnlineValidator(instrument=args.instrument)
-    if args.engine == "realtime":
-        return RealTimeValidator(n_max=n_max, instrument=args.instrument)
-    if args.engine == "succinct":
-        return SuccinctValidator(n_max=n_max, lazy=args.lazy_copy, instrument=args.instrument)
-    return SlopeValidator(instrument=args.instrument)
+class _Engine(NamedTuple):
+    """A ``--engine`` choice: the stream kinds it validates, its constructor
+    from (n_max, lazy, instrument), the fields ``validate --instrument``
+    prints, in order, and its counter snapshot (a superset of them)."""
+
+    kinds: tuple[str, ...]
+    make: Callable[[int, bool, bool], object]
+    fields: tuple[str, ...]
+    stats: Callable[[object], dict[str, int]]
+
+
+def _realtime_stats(engine) -> dict[str, int]:
+    c = engine.op_counters()
+    return {
+        "max_delay_ops": c["core_push_max"],
+        "la_ops_max": c["la_push_max"],
+        "total_ops": c["core_total"] + c["la_total"],
+    }
+
+
+def _succinct_stats(engine) -> dict[str, int]:
+    m = engine.memory_bits()
+    return {
+        "memory_bits": m["total_used"],
+        "memory_bits_allocated": m["blocks_allocated_formula"] + m["per_position"],
+        "blocks_created": m["blocks_created"],
+        "chase_max": engine.chase_max,
+        "total_ops": engine.ops_total,
+    }
+
+
+ENGINES = {
+    "basic": _Engine(
+        ("pi",),
+        lambda n_max, lazy, instrument: OnlineValidator(instrument=instrument),
+        ("max_delay_ops", "total_ops", "memory_bits"),
+        lambda e: {"max_delay_ops": e.ops_push_max, "total_ops": e.ops_total, "memory_bits": e.footprint_bits()},
+    ),
+    "realtime": _Engine(
+        ("pi",),
+        lambda n_max, lazy, instrument: RealTimeValidator(n_max=n_max, instrument=instrument),
+        ("max_delay_ops", "la_ops_max", "total_ops"),
+        _realtime_stats,
+    ),
+    "succinct": _Engine(
+        ("pi",),
+        lambda n_max, lazy, instrument: SuccinctValidator(n_max=n_max, lazy=lazy, instrument=instrument),
+        ("memory_bits", "memory_bits_allocated", "blocks_created", "chase_max"),
+        _succinct_stats,
+    ),
+    "slope": _Engine(
+        ("pi_prime", "g"),
+        lambda n_max, lazy, instrument: SlopeValidator(instrument=instrument),
+        ("total_ops", "dominance_ops"),
+        lambda e: {"total_ops": e.ops_total + e.suffix_ops()["total"], "dominance_ops": e.dom_inserts + e.dom_removals},
+    ),
+}
+
+BENCH_FAMILIES = {  # name -> (stream kind, generator of (n, seed))
+    "unary": ("pi", lambda n, seed: families.unary_pi(n)),
+    "fibonacci": ("pi", lambda n, seed: compute_pi(families.fibonacci_word(n))),
+    "random_valid_pi": ("pi", families.random_valid_pi),
+    "random_pi_prime": ("pi_prime", families.random_valid_pi_prime),
+}
+
+
+def _engine(name: str, kind: str) -> _Engine:
+    spec = ENGINES[name]
+    if kind not in spec.kinds:
+        raise CliError(f"engine {name} validates {' or '.join(spec.kinds)} streams only")
+    return spec
+
+
+def _push_all(engine, values) -> Verdict:
+    """Push until the first rejection; the last verdict (valid when empty)."""
+    verdict = Verdict(True, max_alphabet=0)
+    for v in values:
+        verdict = engine.push(v)
+        if not verdict.valid:
+            break
+    return verdict
 
 
 def _cmd_validate(args) -> int:
-    if args.kind in ("pi_prime", "g"):
-        if args.engine != "slope":
-            raise CliError(f"kind {args.kind} requires --engine slope")
-    elif args.engine == "slope":
-        raise CliError("engine slope validates pi_prime or g streams only")
+    spec = _engine(args.engine, args.kind)
     values = _parse_ints(_read_text(args.input), args.input)
+    if len(values) > args.n_max:
+        raise CliError(f"{args.input}: {len(values)} values exceed --n-max {args.n_max}")
     t0 = time.perf_counter()
 
     if args.kind == "g":
         verdict, engine = validate_g_stream(values)
     else:
-        engine = _make_engine(args)
-        verdict = None
-        for v in values:
-            verdict = engine.push(v)
-            if not verdict.valid:
-                break
-        if verdict is None:  # empty stream
-            from .pi_online import Verdict
-
-            verdict = Verdict(True, max_alphabet=0)
+        engine = spec.make(args.n_max, args.lazy_copy, args.instrument)
+        verdict = _push_all(engine, values)
     wall = time.perf_counter() - t0
 
     lines = ["format=1", f"kind={args.kind}", f"engine={args.engine}"]
@@ -124,33 +193,11 @@ def _cmd_validate(args) -> int:
     if verdict.valid and args.emit_witness and args.kind == "pi":
         lines.append("witness=" + " ".join(str(s) for s in engine.witness()))
     if args.instrument:
-        lines.extend(_instrument_lines(engine))
+        stats = spec.stats(engine)
+        lines.extend(f"{field}={stats[field]}" for field in spec.fields)
     lines.append(f"wall_ms={wall * 1000:.1f}")
     print("\n".join(lines))
     return EXIT_VALID if verdict.valid else EXIT_INVALID
-
-
-def _instrument_lines(engine) -> list[str]:
-    out = []
-    if isinstance(engine, RealTimeValidator):
-        c = engine.op_counters()
-        out.append(f"max_delay_ops={c['core_push_max']}")
-        out.append(f"la_ops_max={c['la_push_max']}")
-        out.append(f"total_ops={c['core_total'] + c['la_total']}")
-    elif isinstance(engine, SuccinctValidator):
-        m = engine.memory_bits()
-        out.append(f"memory_bits={m['total_used']}")
-        out.append(f"memory_bits_allocated={m['blocks_allocated_formula'] + m['per_position']}")
-        out.append(f"blocks_created={m['blocks_created']}")
-        out.append(f"chase_max={engine.chase_max}")
-    elif isinstance(engine, SlopeValidator):
-        out.append(f"total_ops={engine.ops_total + engine._sfx.ops_total}")
-        out.append(f"dominance_ops={engine.dom_inserts + engine.dom_removals}")
-    elif isinstance(engine, OnlineValidator):
-        out.append(f"max_delay_ops={engine.ops_push_max}")
-        out.append(f"total_ops={engine.ops_total}")
-        out.append(f"memory_bits={engine.footprint_bits()}")
-    return out
 
 
 def _cmd_gen(args) -> int:
@@ -169,8 +216,7 @@ def _cmd_gen(args) -> int:
             with open(f"{args.out}.{name}.txt", "w", encoding="ascii") as fh:
                 fh.write("\n".join(str(v) for v in arr) + "\n")
         # declare the valid member by actually validating, not by construction
-        checker = OnlineValidator()
-        ok_a = all(checker.push(v).valid for v in valid)
+        ok_a = _push_all(OnlineValidator(), valid).valid
         print(f"format=1\nfamily=lowerbound_pair n={n} seed={seed}")
         print(f"valid_member={'a' if ok_a else 'b'}")
         print(f"invalid_position={pos}")
@@ -211,50 +257,19 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    kind, generate = BENCH_FAMILIES[args.family]
+    spec = _engine(args.engine, kind)
     ns = [int(tok) for tok in args.n_list.split(",")]
     print("engine family n verdict max_delay_ops la_ops_max total_ops memory_bits wall_ms")
     for n in ns:
-        if args.family == "unary":
-            arr = families.unary_pi(n)
-        elif args.family == "fibonacci":
-            arr = compute_pi(families.fibonacci_word(n))
-        elif args.family == "random_valid_pi":
-            arr = families.random_valid_pi(n, args.seed)
-        elif args.family == "random_pi_prime":
-            arr = families.random_valid_pi_prime(n, args.seed)
-        else:
-            raise CliError(f"unknown bench family {args.family}")
-
-        if args.engine == "slope":
-            if args.family != "random_pi_prime":
-                raise CliError("engine slope benches the random_pi_prime family")
-            eng = SlopeValidator(instrument=True)
-        elif args.engine == "realtime":
-            eng = RealTimeValidator(n_max=n, instrument=True)
-        elif args.engine == "succinct":
-            eng = SuccinctValidator(n_max=n, lazy=args.lazy_copy, instrument=True)
-        else:
-            eng = OnlineValidator(instrument=True)
-
+        arr = generate(n, args.seed)
+        eng = spec.make(n, args.lazy_copy, True)
         t0 = time.perf_counter()
-        verdict = None
-        for v in arr:
-            verdict = eng.push(v)
-            if not verdict.valid:
-                break
+        verdict = _push_all(eng, arr)
         wall = (time.perf_counter() - t0) * 1000
-        delay = la_max = total = mem = 0
-        if isinstance(eng, RealTimeValidator):
-            c = eng.op_counters()
-            delay, la_max, total = c["core_push_max"], c["la_push_max"], c["core_total"] + c["la_total"]
-        elif isinstance(eng, SuccinctValidator):
-            mem = eng.memory_bits()["total_used"]
-            total = eng.ops_total
-        elif isinstance(eng, SlopeValidator):
-            total = eng.ops_total + eng._sfx.ops_total
-        else:
-            delay, total, mem = eng.ops_push_max, eng.ops_total, eng.footprint_bits()
-        word = "valid" if (verdict is None or verdict.valid) else f"invalid@{verdict.position}"
+        stats = spec.stats(eng)
+        delay, la_max, total, mem = (stats.get(k, 0) for k in ("max_delay_ops", "la_ops_max", "total_ops", "memory_bits"))
+        word = "valid" if verdict.valid else f"invalid@{verdict.position}"
         print(f"{args.engine} {args.family} {n} {word} {delay} {la_max} {total} {mem} {wall:.1f}")
     return EXIT_VALID
 
@@ -274,13 +289,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="stream an array through a validator")
     p.add_argument("--kind", choices=["pi", "pi_prime", "g"], required=True)
-    p.add_argument("--engine", choices=["basic", "realtime", "succinct", "slope"], required=True)
+    p.add_argument("--engine", choices=list(ENGINES), required=True)
     p.add_argument("--emit-pi", action="store_true", help="print the recovered border array")
     p.add_argument("--emit-witness", action="store_true", help="print a witness word")
     p.add_argument("--format", choices=["text"], default="text")
     p.add_argument("--instrument", action="store_true")
     p.add_argument("--lazy-copy", action="store_true")
-    p.add_argument("--n-max", type=int, default=2**32)
+    p.add_argument("--n-max", type=int, default=2**32, help="longest stream accepted; sizes realtime and succinct")
     p.add_argument("input", help="array file or - for stdin")
     p.set_defaults(func=_cmd_validate)
 
@@ -299,8 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("bench", help="instrumentation table over an n range")
-    p.add_argument("--engine", choices=["basic", "realtime", "succinct", "slope"], required=True)
-    p.add_argument("--family", choices=["unary", "fibonacci", "random_valid_pi", "random_pi_prime"], required=True)
+    p.add_argument("--engine", choices=list(ENGINES), required=True)
+    p.add_argument("--family", choices=list(BENCH_FAMILIES), required=True)
     p.add_argument("--n-list", required=True, help="comma-separated sizes")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lazy-copy", action="store_true")

@@ -83,7 +83,9 @@ class SlopeValidator:
 
     @property
     def max_alphabet(self) -> int:
-        return self._emb.max_alphabet
+        """Minimal alphabet of the prefix fed to the embedded validator; 0
+        before the first push, where its forced A[1] = 0 would read 1."""
+        return self._emb.max_alphabet if self._pp else 0
 
     # -- helpers ---------------------------------------------------------------
 
@@ -271,11 +273,6 @@ class SlopeValidator:
         return Verdict(True, max_alphabet=self._emb.max_alphabet)
 
     # -- outputs ---------------------------------------------------------------
-
-    def witness_committed(self) -> tuple[int, ...]:
-        """Witness letters of the committed prefix (slope letters may still
-        change, so no online witness for the full stream exists)."""
-        return self._emb.witness()
 
     def suffix_ops(self) -> dict:
         return {

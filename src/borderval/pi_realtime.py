@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 
 from .level_ancestor import JumpPointerLA
-from .pi_online import PushAfterFailure, StateInvalid, Verdict
+from .pi_online import PushAfterFailure, StateInvalid, Verdict, WitnessTracker
 
 __all__ = ["RealTimeValidator"]
 
@@ -41,34 +41,22 @@ def dprime_width(n_max: int) -> int:
     return int(3 * math.log2(max(2, n_max))) + 4
 
 
-class RealTimeValidator:
+class RealTimeValidator(WitnessTracker):
     def __init__(self, n_max: int = 2**32, debug: bool = False, instrument: bool = False):
+        super().__init__()
         self.n_max = n_max
         self._width = dprime_width(n_max)
         self._a: list[int] = []
         self._d: list[int] = []
         self._dp: list[int] = []
         self._bits: list[int] = []  # candidate vector per position, d'-indexed
-        self._letter: list[int] = []
-        self._alph: list[int] = []
         self._la = JumpPointerLA()
-        self.max_alphabet = 0
-        self.failed_at: int | None = None
         self.debug = debug
         self.instrument = instrument
         self.ops_total = 0
         self.ops_push_max = 0
         self.la_ops_total = 0
         self.la_ops_push_max = 0
-        self.ops_histogram: dict[int, int] = {}
-
-    @property
-    def n(self) -> int:
-        return len(self._a)
-
-    def _fail(self, pos: int) -> Verdict:
-        self.failed_at = pos
-        return Verdict(False, position=pos, max_alphabet=self.max_alphabet)
 
     def push(self, a: int) -> Verdict:
         if self.failed_at is not None:
@@ -76,66 +64,44 @@ class RealTimeValidator:
         ops = 1
         la_start = self._la.ops
         p = len(self._a) + 1
-        if p == 1:
-            if a != 0:
-                return self._fail(1)
-            self._la.add_leaf(0)
-            self._a.append(0)
-            self._d.append(1)
-            self._dp.append(1)
-            self._bits.append(0)
-            self._letter.append(1)
-            self._alph.append(1)
-            self.max_alphabet = 1
-            self._note_ops(ops, self._la.ops - la_start)
-            return Verdict(True, max_alphabet=1, letter=1)
-
-        f = self._a[-1] + 1
+        f = self._a[-1] + 1 if self._a else 0
         if a < 0 or a > f:
             return self._fail(p)
+        # the leaf stays when a later check rejects: the validator is dead then
         self._la.add_leaf(f)
-        d_p = self._d[f - 1] + 1
-
-        # inherited candidate vector: clear the father's own value, add the father
-        bits = self._bits[f - 1]
-        af = self._a[f - 1]
-        if af > 0:
-            bits &= ~(1 << self._dp[af - 1])
-        bits |= 1 << self._dp[f - 1]
-        ops += 4
-
-        if a == 0:
-            alph = self._alph[f - 1] + 1
-            letter = alph
-            self.max_alphabet = max(self.max_alphabet, alph)
-        elif a == f:
-            letter = self._letter[a - 1]
-            alph = self._alph[f - 1]
+        if p == 1:
+            d_p = dp_p = 1
+            bits = 0
         else:
-            delta = d_p - self._d[a - 1] - 1
-            ops += 3
-            if delta < 1:
-                self._rollback()
-                return self._fail(p)
-            j = self._la.la(p, delta)
-            if self.debug:
-                assert j == self._la.naive_la(p, delta), "level-ancestor mismatch"
-            if self._la.parent(j) != a:
-                self._rollback()
-                return self._fail(p)
-            if self._dp[j - 1] == self._dp[a - 1]:
-                self._rollback()
-                return self._fail(p)
-            if not bits & (1 << self._dp[a - 1]):
-                self._rollback()
-                return self._fail(p)
-            letter = self._letter[a - 1]
-            alph = self._alph[f - 1]
+            d_p = self._d[f - 1] + 1
+            # inherited candidate vector: clear the father's own value, add the father
+            bits = self._bits[f - 1]
+            af = self._a[f - 1]
+            if af > 0:
+                bits &= ~(1 << self._dp[af - 1])
+            bits |= 1 << self._dp[f - 1]
+            ops += 4
 
-        dp_p = self._dp[f - 1] + (0 if a == f else 1)
-        if dp_p >= self._width:
-            raise AssertionError(f"d' {dp_p} exceeds declared width {self._width}")
+            if 0 < a < f:
+                delta = d_p - self._d[a - 1] - 1
+                ops += 3
+                if delta < 1:
+                    return self._fail(p)
+                j = self._la.la(p, delta)
+                if self.debug:
+                    assert j == self._la.naive_la(p, delta), "level-ancestor mismatch"
+                if self._la.parent(j) != a:
+                    return self._fail(p)
+                if self._dp[j - 1] == self._dp[a - 1]:
+                    return self._fail(p)
+                if not bits & (1 << self._dp[a - 1]):
+                    return self._fail(p)
 
+            dp_p = self._dp[f - 1] + (0 if a == f else 1)
+            if dp_p >= self._width:
+                raise AssertionError(f"d' {dp_p} exceeds declared width {self._width}")
+
+        letter, alph = self._next_letter(a, f)
         self._a.append(a)
         self._d.append(d_p)
         self._dp.append(dp_p)
@@ -144,10 +110,6 @@ class RealTimeValidator:
         self._alph.append(alph)
         self._note_ops(ops, self._la.ops - la_start)
         return Verdict(True, max_alphabet=self.max_alphabet, letter=letter)
-
-    def _rollback(self) -> None:
-        # the leaf added for the failed position stays; the validator is dead
-        pass
 
     def _note_ops(self, ops: int, la_ops: int) -> None:
         if not self.instrument:
@@ -158,10 +120,9 @@ class RealTimeValidator:
             self.ops_push_max = ops
         if la_ops > self.la_ops_push_max:
             self.la_ops_push_max = la_ops
-        self.ops_histogram[ops] = self.ops_histogram.get(ops, 0) + 1
 
     def op_counters(self) -> dict:
-        """Max and histogram of per-push core operations; level-ancestor
+        """Max and total of per-push core operations; level-ancestor
         structure costs reported separately."""
         if not self.instrument:
             raise StateInvalid("instrumentation disabled")
@@ -170,13 +131,7 @@ class RealTimeValidator:
             "core_total": self.ops_total,
             "la_push_max": self.la_ops_push_max,
             "la_total": self.la_ops_total,
-            "histogram": dict(self.ops_histogram),
         }
-
-    def witness(self) -> tuple[int, ...]:
-        if self.failed_at is not None:
-            raise StateInvalid("witness of a failed stream")
-        return tuple(self._letter)
 
     def dprime_values(self) -> list[int]:
         return list(self._dp)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .pi_online import PushAfterFailure, StateInvalid, Verdict
+from .pi_online import PushAfterFailure, Verdict, WitnessTracker
 
 __all__ = ["SuccinctValidator", "CapacityViolation", "window_distinct_check", "WINDOW_CAP"]
 
@@ -63,14 +63,14 @@ class _Block:
         self.alpha = value.bit_length()
         self.src_value = src_value  # strict father of the node `value`
         self.removed = removed  # X(value); 0 = nothing removed
-        self.chain: list[int] | None = None  # strict ancestors of value, descending
+        self.chain: list[int] | None = None  # strict ancestors of value, descending; set once ready
         self.flags: int = 0  # bit t set = chain[t] in S(value)
         self.ready = False
         self.deadline = deadline  # must be ready before this position (lazy mode)
-        self.fill_pos = 0
+        self.fill_pos = 0  # chain words copied so far
 
 
-class SuccinctValidator:
+class SuccinctValidator(WitnessTracker):
     def __init__(
         self,
         n_max: int = 2**32,
@@ -79,20 +79,17 @@ class SuccinctValidator:
         debug: bool = False,
         instrument: bool = False,
     ):
+        super().__init__()
         self.n_max = n_max
         self.lazy = lazy
         self.beta = beta
         self.debug = debug
         self.instrument = instrument
-        # per-position narrow records
-        self._letter: list[int] = []
-        self._alph: list[int] = []
+        # per-position narrow records (letter and path alphabet in the base)
         self._b: list[int] = []
         self._kx: list[int] = []
         self._ord: list[int] = []
-        self._prev_a = 0
-        self.max_alphabet = 0
-        self.failed_at: int | None = None
+        self._prev_a = -1  # A[0] = -1 makes the father of position 1 zero
         # block pools: (alpha, window) -> blocks in creation order
         self._groups: dict[tuple[int, int], list[_Block]] = {}
         self._blocks_created = 0
@@ -106,14 +103,6 @@ class SuccinctValidator:
 
     # -- record plumbing ------------------------------------------------------
 
-    @property
-    def n(self) -> int:
-        return len(self._letter)
-
-    def _fail(self, pos: int) -> Verdict:
-        self.failed_at = pos
-        return Verdict(False, position=pos, max_alphabet=self.max_alphabet)
-
     def _sf_block(self, u: int) -> _Block:
         """Block of sf(u), addressed through u's own record."""
         alpha = self._b[u - 1]
@@ -125,92 +114,58 @@ class SuccinctValidator:
 
     # -- reads that may chase through unfilled blocks ---------------------------
 
-    def _member_test(self, u: int, a: int) -> bool:
-        """a in S(u) for a committed node u, via S(u) = ({sf} | S(sf)) - {X}."""
-        src = self._sf_value(u)
-        removed = self._x_value(u)
-        block = self._sf_block(u) if src else None
-        chase = 0
-        while True:
-            if a == removed or src == 0:
-                self._note_chase(chase)
-                return False
-            if a == src:
-                self._note_chase(chase)
-                return True
-            assert block is not None
-            if block.ready:
-                self._note_chase(chase)
-                chain = block.chain or []
-                for t, v in enumerate(chain):
-                    if v == a:
-                        return bool(block.flags >> t & 1)
-                return False
-            # unfilled: its set is ({src_value} | S(src_value)) - {removed}
-            src, removed = block.src_value, block.removed
-            block = self._sf_block(block.value) if src else None
-            chase += 1
-            if chase > CHASE_CAP:
-                raise AssertionError("in-flight chase exceeded its constant bound")
+    def _walk(self, u: int, a: int = -1, removed: int = 0, last: int = -1) -> tuple[int, int, int, _Block | None]:
+        """Walk chain(u) = [sf(u), sf(sf(u)), ...] level by level through
+        unfilled blocks.
 
-    def _chain_index(self, u: int, a: int) -> int:
-        """1-based index of a in chain(u) = [sf(u), sf(sf(u)), ...]."""
-        src = self._sf_value(u)
-        block = self._sf_block(u)
-        idx = 1
-        chase = 0
-        while True:
-            if a == src:
-                self._note_chase(chase)
-                return idx
-            if block.ready:
-                self._note_chase(chase)
-                chain = block.chain or []
-                for t, v in enumerate(chain):
-                    if v == a:
-                        return idx + 1 + t
-                raise AssertionError(f"value {a} not on the chain of {u}")
-            if block.src_value == 0:
-                raise AssertionError(f"value {a} not on the chain of {u}")
-            src = block.src_value
-            block = self._sf_block(block.value)
-            idx += 1
-            chase += 1
-            if chase > CHASE_CAP:
+        Level t holds the chain's t-th value (0 past its end), that value's
+        block, and the removal above it: ``removed`` at level 0, then the
+        ``removed`` of each unfilled block passed.  The walk stops at the
+        first level t that is ``last``, whose value or removal is ``a`` (the
+        defaults match no level), that ends the chain, or whose block is
+        filled (its chain and flags stand for all deeper levels).  Notes t
+        as a chase length and returns (t, value, removal, block).
+        """
+        block = self._sf_block(u) if self._b[u - 1] else None
+        value = block.value if block else 0
+        t = 0
+        while t != last and a != value and a != removed and value and not block.ready:
+            value, removed = block.src_value, block.removed
+            block = self._sf_block(block.value) if value else None
+            t += 1
+            if t > CHASE_CAP:
                 raise AssertionError("in-flight chase exceeded its constant bound")
+        if t > self.chase_max:
+            self.chase_max = t
+        return t, value, removed, block
+
+    def _chain_find(self, u: int, a: int) -> int:
+        """1-based index of a in chain(u) if a is in S(u), else 0; a committed
+        node's set is S(u) = ({sf(u)} | S(sf(u))) - {X(u)}."""
+        t, value, removed, block = self._walk(u, a, self._x_value(u))
+        if a == removed or value == 0:
+            return 0
+        if a == value:
+            return t + 1
+        chain = block.chain
+        if a not in chain:
+            return 0
+        s = chain.index(a)
+        return t + 2 + s if block.flags >> s & 1 else 0
 
     def _chain_select(self, u: int, r: int) -> int:
         """r-th element (1-based) of chain(u)."""
-        value = self._sf_value(u)
-        block = self._sf_block(u)
-        chase = 0
-        while True:
-            if r == 1:
-                self._note_chase(chase)
-                return value
-            if block.ready:
-                self._note_chase(chase)
-                chain = block.chain or []
-                if r - 2 < len(chain):
-                    return chain[r - 2]
-                raise AssertionError("chain index out of range")
-            if block.src_value == 0:
-                raise AssertionError("chain index beyond an empty chain")
-            value = block.src_value
-            block = self._sf_block(block.value)
-            r -= 1
-            chase += 1
-            if chase > CHASE_CAP:
-                raise AssertionError("in-flight chase exceeded its constant bound")
+        t, value, _, block = self._walk(u, last=r - 1)
+        if t == r - 1:
+            return value
+        if block is None or r - 2 - t >= len(block.chain):
+            raise AssertionError(f"chain of {u} is shorter than {r}")
+        return block.chain[r - 2 - t]
 
     def _x_value(self, u: int) -> int:
         """X(u): the candidate removed going from sf(u)'s set to u's set."""
         k = self._kx[u - 1]
         return 0 if k == 0 else self._chain_select(u, k)
-
-    def _note_chase(self, chase: int) -> None:
-        if chase > self.chase_max:
-            self.chase_max = chase
 
     # -- block creation ---------------------------------------------------------
 
@@ -237,29 +192,30 @@ class SuccinctValidator:
         if self.lazy:
             self._waiting.setdefault(alpha, deque()).append(blk)
         else:
-            self._fill_block(blk)
+            self._fill(blk)
         return len(group) - 1
 
-    def _fill_block(self, blk: _Block) -> None:
-        """Materialize chain and flags from the source block's content."""
-        if blk.ready:
-            return
+    def _fill(self, blk: _Block, budget: int = 1 << 30) -> tuple[bool, int]:
+        """Copy up to ``budget`` chain words into blk from its source block;
+        once all are copied, set the flags and mark blk ready.  Returns
+        (ready, budget left).  Eager mode fills each block at creation, when
+        its source block is already filled."""
         w = blk.src_value
-        if w == 0:
-            blk.chain = []
-            blk.flags = 0
-            blk.ready = True
-            return
-        src = self._sf_block(blk.value)
-        if not src.ready:
-            self._fill_block(src)
-        chain = [w] + list(src.chain or [])
-        flags = (src.flags << 1) | 1  # inherit S(w) flags, add w itself
-        if blk.removed:
-            for t, v in enumerate(chain):
-                if v == blk.removed:
-                    flags &= ~(1 << t)
-                    break
+        if w:
+            src = self._sf_block(blk.value)
+            if not src.ready:
+                # the source sits no later in the schedule; stall this tick
+                return False, 0
+            chain = [w] + src.chain
+            flags = (src.flags << 1) | 1  # inherit S(w) flags, add w itself
+        else:
+            chain, flags = [], 0
+        left = len(chain) - blk.fill_pos
+        if budget < left:
+            blk.fill_pos += budget
+            return False, 0
+        if blk.removed in chain:
+            flags &= ~(1 << chain.index(blk.removed))
         blk.chain = chain
         blk.flags = flags
         blk.ready = True
@@ -269,6 +225,7 @@ class SuccinctValidator:
             for v in chain:
                 counts[v.bit_length()] = counts.get(v.bit_length(), 0) + 1
             assert all(c <= 2 for c in counts.values()), "two slots per class exceeded"
+        return True, budget - (left or 1)  # an empty chain costs one step
 
     # -- lazy copying ------------------------------------------------------------
 
@@ -289,7 +246,7 @@ class SuccinctValidator:
             if gamma is None:
                 break
             lst = self._copylist[gamma]
-            done, budget = self._fill_some(lst[0], budget)
+            done, budget = self._fill(lst[0], budget)
             if done:
                 lst.popleft()
 
@@ -307,38 +264,6 @@ class SuccinctValidator:
                 return gamma
         return None
 
-    def _fill_some(self, blk: _Block, budget: int) -> tuple[bool, int]:
-        """Copy up to ``budget`` chain words into blk; True when complete."""
-        if blk.ready:
-            return True, budget
-        w = blk.src_value
-        if w == 0:
-            blk.chain = []
-            blk.ready = True
-            return True, budget - 1
-        src = self._sf_block(blk.value)
-        if not src.ready:
-            # the source sits no later in the schedule; stall this tick
-            return False, 0
-        chain = [w] + list(src.chain or [])
-        if blk.fill_pos == 0:
-            blk.chain = []
-        take = min(budget, len(chain) - blk.fill_pos)
-        assert blk.chain is not None
-        blk.chain.extend(chain[blk.fill_pos : blk.fill_pos + take])
-        blk.fill_pos += take
-        if blk.fill_pos >= len(chain):
-            flags = (src.flags << 1) | 1
-            if blk.removed:
-                for t, v in enumerate(chain):
-                    if v == blk.removed:
-                        flags &= ~(1 << t)
-                        break
-            blk.flags = flags
-            blk.ready = True
-            return True, budget - take
-        return False, 0
-
     def finish(self) -> None:
         """Drain pending copies (lazy mode); deadlines no longer apply."""
         for gamma, wl in self._waiting.items():
@@ -348,7 +273,7 @@ class SuccinctValidator:
         self._marked.clear()
         for lst in self._copylist.values():
             while lst:
-                done, _ = self._fill_some(lst[0], 1 << 30)
+                done, _ = self._fill(lst[0])
                 if done:
                     lst.popleft()
 
@@ -359,32 +284,20 @@ class SuccinctValidator:
             raise PushAfterFailure(f"stream failed at {self.failed_at}")
         self.ops_total += 1
         x = len(self._letter) + 1
-        if x == 1:
-            if a != 0:
-                return self._fail(1)
-            self._letter.append(1)
-            self._alph.append(1)
-            self._b.append(0)
-            self._kx.append(0)
-            self._ord.append(0)
-            self._prev_a = 0
-            self.max_alphabet = 1
-            return Verdict(True, max_alphabet=1, letter=1)
-
         f = self._prev_a + 1
         if a < 0 or a > f:
             return self._fail(x)
 
-        if 0 < a < f:
-            if not self._member_test(f, a):
+        if a == 0:
+            kx, sf = 0, f
+        elif a < f:
+            idx = self._chain_find(f, a)
+            if not idx:
                 return self._fail(x)
-            kx = 1 + self._chain_index(f, a)
-        elif a == 0:
-            kx = 0
-        else:  # a == f: the slope inherits the removal record
-            kx = self._kx[f - 1]
+            kx, sf = 1 + idx, f
+        else:  # a == f: the slope inherits the removal record and strict father
+            kx, sf = self._kx[f - 1], self._sf_value(f)
 
-        sf = f if a < f else self._sf_value(f)
         if sf > 0:
             ordinal = self._ensure_block(sf, x)
             self._b.append(sf.bit_length())
@@ -394,13 +307,7 @@ class SuccinctValidator:
             self._ord.append(0)
         self._kx.append(kx)
 
-        if a == 0:
-            alph = self._alph[f - 1] + 1
-            letter = alph
-            self.max_alphabet = max(self.max_alphabet, alph)
-        else:
-            letter = self._letter[a - 1]
-            alph = self._alph[f - 1]
+        letter, alph = self._next_letter(a, f)
         self._letter.append(letter)
         self._alph.append(alph)
         self._prev_a = a
@@ -408,11 +315,6 @@ class SuccinctValidator:
         if self.lazy:
             self._scheduler_tick(x)
         return Verdict(True, max_alphabet=self.max_alphabet, letter=letter)
-
-    def witness(self) -> tuple[int, ...]:
-        if self.failed_at is not None:
-            raise StateInvalid("witness of a failed stream")
-        return tuple(self._letter)
 
     # -- memory accounting ------------------------------------------------------
 

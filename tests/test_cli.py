@@ -150,3 +150,45 @@ def test_report_roundtrip():
     assert fields["format"] == "1"
     assert fields["verdict"] == "valid"
     assert int(fields["memory_bits"]) > 0
+
+
+
+def _fib_streams():
+    from borderval import families
+    from borderval.border_core import compute_pi, pi_to_pi_prime
+
+    pi = compute_pi(families.fibonacci_word(3001))
+    return {"pi": pi[:3000], "pi_prime": pi_to_pi_prime(pi)[:3000]}
+
+
+@pytest.mark.parametrize(
+    "kind,engine",
+    [("pi", "basic"), ("pi", "realtime"), ("pi", "succinct"), ("pi_prime", "slope"), ("g", "slope")],
+)
+def test_validate_enforces_n_max(kind, engine):
+    streams = _fib_streams()
+    values = streams["pi"] if kind == "pi" else streams["pi_prime"]
+    if kind == "g":
+        values = [0] + [v + 1 for v in values]
+    text = " ".join(map(str, values))
+    code, out, err = run_cli(["validate", "--kind", kind, "--engine", engine, "--n-max", "4", "-"], text)
+    assert code == EXIT_USAGE and err.startswith("error:") and "--n-max 4" in err
+    assert out == ""
+    code, out, _ = run_cli(["validate", "--kind", kind, "--engine", engine, "--n-max", str(len(values)), "-"], text)
+    assert code == EXIT_VALID and "verdict=valid" in out
+
+
+def test_validate_rejects_non_ascii_input(tmp_path):
+    path = tmp_path / "values.txt"
+    path.write_text("0 1 é\n", encoding="utf-8")
+    code, _, err = run_cli(["validate", "--kind", "pi", "--engine", "basic", str(path)])
+    assert code == EXIT_USAGE and err == f"error: {path}: not ASCII\n"
+    code, _, err = run_cli(["validate", "--kind", "pi", "--engine", "basic", "-"], "0 1 é")
+    assert code == EXIT_USAGE and err == "error: -: not ASCII\n"
+
+
+@pytest.mark.parametrize("stream", ["", "0"])
+def test_validate_g_with_empty_word(stream):
+    code, out, _ = run_cli(["validate", "--kind", "g", "--engine", "slope", "-"], stream)
+    assert code == EXIT_VALID
+    assert f"verdict=valid n={len(stream.split())} min_alphabet=0" in out.splitlines()
