@@ -73,6 +73,20 @@ def _parse_word(text: str, path: str, as_ints: bool):
         raise CliError(f"{path}: {exc}") from exc
 
 
+def _parse_n_list(text: str) -> list[int]:
+    """``--n-list``: comma-separated positive stream lengths."""
+    ns = []
+    for tok in text.split(","):
+        try:
+            n = int(tok)
+        except ValueError:
+            raise CliError(f"--n-list: not an integer: {tok!r}") from None
+        if n < 1:
+            raise CliError(f"--n-list: sizes must be positive: {tok!r}")
+        ns.append(n)
+    return ns
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -176,7 +190,7 @@ def _cmd_validate(args) -> int:
     t0 = time.perf_counter()
 
     if args.kind == "g":
-        verdict, engine = validate_g_stream(values)
+        verdict, engine = validate_g_stream(values, instrument=args.instrument)
     else:
         engine = spec.make(args.n_max, args.lazy_copy, args.instrument)
         verdict = _push_all(engine, values)
@@ -259,7 +273,7 @@ def _cmd_gen(args) -> int:
 def _cmd_bench(args) -> int:
     kind, generate = BENCH_FAMILIES[args.family]
     spec = _engine(args.engine, kind)
-    ns = [int(tok) for tok in args.n_list.split(",")]
+    ns = _parse_n_list(args.n_list)
     print("engine family n verdict max_delay_ops la_ops_max total_ops memory_bits wall_ms")
     for n in ns:
         arr = generate(n, args.seed)

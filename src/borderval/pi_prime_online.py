@@ -23,7 +23,12 @@ adjustment only lowers values, so the tested candidate c <= q and the
 equality A'[i..n-1] = A'[q..q+(n-1-i)] is inherited).  With l = q - c:
 positions before l are compared directly, position n directly, and the
 middle reduces to "is A'[i+l..n-1] a prefix of A'[i..n-1]", answered by the
-online suffix index in O(l)-bounded work.
+online suffix index in O(l)-bounded work.  Only this l > 0 branch reads the
+index, and on most streams it never runs, so the index is built on demand:
+the first such query appends the stored values A'[1..n-1] and later ones
+append what arrived since.  Ukkonen's construction is amortized linear in
+whatever batches the symbols arrive, so total tree work never exceeds that
+of appending on every push, and streams that never reach the index pay none.
 
 Committed values are fed to an embedded candidate-set validator, which
 supplies witness letters, the minimal alphabet, and the descending candidate
@@ -212,7 +217,10 @@ class SlopeValidator:
             if result and self._pp_at(n) != self._pp_at(c + length):
                 result = False
             if result and l > 0:
-                result = self._sfx.is_suffix_prefix_of_suffix(i, l, n - 1)
+                sfx = self._sfx
+                for value in self._pp[sfx.size : n - 1]:  # catch up from the stored stream
+                    sfx.append(value)
+                result = sfx.is_suffix_prefix_of_suffix(i, l, n - 1)
         if self.debug:
             naive = all(self._pp_at(i + t) == self._pp_at(c + t) for t in range(length + 1))
             if naive != result:
@@ -269,7 +277,6 @@ class SlopeValidator:
             if not self._step_candidate():
                 return self._fail(n)
 
-        self._sfx.append(a_prime)
         return Verdict(True, max_alphabet=self._emb.max_alphabet)
 
     # -- outputs ---------------------------------------------------------------
@@ -279,17 +286,18 @@ class SlopeValidator:
             "query_ops_max": self._sfx.query_ops_max,
             "query_budget_max": self._sfx.query_budget_max,
             "total": self._sfx.ops_total,
+            "indexed": self._sfx.size,
         }
 
 
-def validate_g_stream(values, debug: bool = False):
+def validate_g_stream(values, debug: bool = False, instrument: bool = False):
     """Validate a stream under the shifted convention g[i] = A'[i-1] + 1.
 
     The first value must be 0 (the empty prefix has strict value -1); each
     later g[k] is fed as A'[k-1] = g[k] - 1.  Returns (verdict, validator);
     positions in the verdict use g's indexing.
     """
-    pp = SlopeValidator(debug=debug)
+    pp = SlopeValidator(debug=debug, instrument=instrument)
     for k, g in enumerate(values, start=1):
         if k == 1:
             if g != 0:

@@ -192,3 +192,28 @@ def test_validate_g_with_empty_word(stream):
     code, out, _ = run_cli(["validate", "--kind", "g", "--engine", "slope", "-"], stream)
     assert code == EXIT_VALID
     assert f"verdict=valid n={len(stream.split())} min_alphabet=0" in out.splitlines()
+
+
+def test_validate_g_instrument_counts_the_suffix_index():
+    # this stream reaches the suffix index, so its ops are part of total_ops
+    from borderval import families
+
+    values = families.random_valid_pi_prime(2000, 11)
+    totals = {}
+    for kind, stream in (("pi_prime", values), ("g", [0] + [v + 1 for v in values])):
+        code, out, _ = run_cli(
+            ["validate", "--kind", kind, "--engine", "slope", "--instrument", "-"],
+            " ".join(map(str, stream)),
+        )
+        assert code == EXIT_VALID
+        totals[kind] = [l for l in out.splitlines() if l.startswith("total_ops=")]
+    assert totals["g"] == totals["pi_prime"] != []
+
+
+@pytest.mark.parametrize("n_list", ["a", "0", "-3", "1,,2"])
+def test_bench_rejects_bad_n_list(n_list):
+    code, out, err = run_cli(
+        ["bench", "--engine", "basic", "--family", "unary", "--n-list", n_list]
+    )
+    assert code == EXIT_USAGE and err.startswith("error: --n-list:")
+    assert out == ""

@@ -1,7 +1,7 @@
 import pytest
 
 from borderval.border_core import compute_pi, pi_to_pi_prime
-from borderval.families import random_valid_pi_prime
+from borderval.families import fibonacci_word, random_valid_pi_prime
 from borderval.oracle import enumerate_pi_prime_prefix_witnesses, iter_canonical_pi
 from borderval.pi_online import OnlineValidator, PushAfterFailure
 from borderval.pi_prime_online import SlopeValidator, validate_g_stream
@@ -159,3 +159,40 @@ def test_g_matches_shifted_enumeration():
                 dfs(prefix + [x])
 
         dfs([])
+
+
+# -- the suffix index is built on demand -------------------------------------------
+
+INDEX_SEEDS = (6, 14, 39)  # random_valid_pi_prime(300, seed) makes l > 0 value queries
+
+
+def _push_counting_index(stream):
+    """Push with shadow checks; the index never holds more than was pushed."""
+    v = SlopeValidator(debug=True, instrument=True)
+    for pushed, x in enumerate(stream, start=1):
+        verdict = v.push(x)
+        assert v.suffix_ops()["indexed"] <= pushed
+        if not verdict.valid:
+            break
+    return v
+
+
+def test_fibonacci_stream_builds_no_index():
+    pi = compute_pi(fibonacci_word(3001))
+    v = SlopeValidator()
+    assert drive(v, pi_to_pi_prime(pi)[:3000]) is None
+    assert v.suffix_ops()["indexed"] == 0
+
+
+@pytest.mark.parametrize("seed", INDEX_SEEDS)
+def test_index_caught_up_on_demand(seed):
+    base = random_valid_pi_prime(300, seed)
+    v = _push_counting_index(base)
+    assert v.failed_at is None
+    assert v.suffix_ops()["query_ops_max"] > 0
+    queried = 0
+    for p in range(1, len(base) + 1, 7):
+        for x in {-1, 0, base[p - 1] + 1} - {base[p - 1]}:
+            mutated = base[: p - 1] + [x] + base[p:]
+            queried += _push_counting_index(mutated).suffix_ops()["query_ops_max"] > 0
+    assert queried > 0
