@@ -1,7 +1,7 @@
 import pytest
 
 from borderval.border_core import compute_pi, pi_to_pi_prime
-from borderval.families import fibonacci_word, random_valid_pi, thue_morse_word, unary_pi
+from borderval.families import fibonacci_word, random_valid_pi, random_word, thue_morse_word, unary_pi
 from borderval.oracle import enumerate_valid_pi
 from borderval.pi_online import OnlineValidator
 from borderval.pi_succinct import SuccinctValidator, window_distinct_check
@@ -103,3 +103,58 @@ def test_lazy_copy_deadlines_hold():
         assert v.push(a).valid
     v.finish()
     assert v.chase_max <= 8
+
+
+# Lazy scheduler behaviour pinned value for value: where a too-small budget
+# misses a copy deadline, and what a run leaves behind.  "pending" sums the
+# scheduler's declared bits sampled every 16 pushes, so it follows the
+# waiting and copy lists through the whole stream.
+
+
+@pytest.mark.parametrize(
+    "arr, pos",
+    [(compute_pi(fibonacci_word(3000)), 48), (random_valid_pi(2000, 1), 24)],
+    ids=["fibonacci", "random"],
+)
+def test_lazy_copy_deadline_fires(arr, pos):
+    v = SuccinctValidator(n_max=4096, lazy=True, beta=1)
+    with pytest.raises(AssertionError, match=f"^copy deadline missed at position {pos}$"):
+        for a in arr:
+            v.push(a)
+
+
+_PINNED_STREAMS = {
+    "biased": lambda: random_valid_pi(3000, 1, unary_bias=0.7),
+    "word": lambda: compute_pi(random_word(3000, 2, 1)),
+    "fibonacci": lambda: compute_pi(fibonacci_word(3000)),
+}
+
+
+@pytest.mark.parametrize(
+    "stream, beta, chase_max, window_fill_max, pending, blocks_used, blocks_created",
+    [
+        ("biased", 2, 0, 3, 9587, 31874, 1260),
+        ("biased", 8, 0, 3, 5162, 31874, 1260),
+        ("word", 2, 0, 2, 7662, 30311, 1585),
+        ("word", 8, 0, 2, 4862, 30311, 1585),
+        ("fibonacci", 2, 1, 2, 27312, 45709, 1852),
+        ("fibonacci", 8, 1, 2, 19887, 45709, 1852),
+    ],
+)
+def test_lazy_scheduler_pinned(stream, beta, chase_max, window_fill_max, pending, blocks_used, blocks_created):
+    v = SuccinctValidator(n_max=4096, lazy=True, beta=beta)
+    sampled = 0
+    for x, a in enumerate(_PINNED_STREAMS[stream](), start=1):
+        assert v.push(a).valid
+        if x % 16 == 0:
+            sampled += v.memory_bits()["scheduler"]
+    v.finish()
+    assert (v.chase_max, v.window_fill_max, v.ops_total, sampled) == (chase_max, window_fill_max, 3000, pending)
+    assert v.memory_bits() == {
+        "per_position": 72000,
+        "blocks_used": blocks_used,
+        "blocks_allocated_formula": 3032256,
+        "scheduler": 26,
+        "total_used": 72000 + blocks_used + 26 + 4 * 13,
+        "blocks_created": blocks_created,
+    }
