@@ -184,6 +184,8 @@ def _push_all(engine, values) -> Verdict:
 
 def _cmd_validate(args) -> int:
     spec = _engine(args.engine, args.kind)
+    if args.n_max < 1:
+        raise CliError(f"--n-max: must be at least 1, got {args.n_max}")
     values = _parse_ints(_read_text(args.input), args.input)
     if len(values) > args.n_max:
         raise CliError(f"{args.input}: {len(values)} values exceed --n-max {args.n_max}")
@@ -218,6 +220,8 @@ def _cmd_gen(args) -> int:
     n, seed = args.n, args.seed
     if n < 1:
         raise CliError("--n must be >= 1")
+    if args.sigma < 1:
+        raise CliError(f"--sigma: must be at least 1, got {args.sigma}")
     fam = args.family
     if fam == "lowerbound_pair":
         try:

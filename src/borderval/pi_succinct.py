@@ -96,7 +96,10 @@ class SuccinctValidator(WitnessTracker):
         # lazy copying
         self._waiting: dict[int, deque[_Block]] = {}
         self._copylist: dict[int, deque[_Block]] = {}
-        self._marked: set[int] = set()
+        # class bit vectors: bit g of _marked = class g's window ended with
+        # blocks waiting; bit g of _busy = _copylist[g] is non-empty
+        self._marked = 0
+        self._busy = 0
         self.chase_max = 0
         self.window_fill_max = 0
         self.ops_total = 0
@@ -230,39 +233,43 @@ class SuccinctValidator(WitnessTracker):
     # -- lazy copying ------------------------------------------------------------
 
     def _scheduler_tick(self, pos: int) -> None:
-        """Mark window boundaries, check deadlines, spend the copy budget."""
+        """Mark window boundaries, check deadlines, spend the copy budget.
+
+        Class g's deadlines are multiples of 2^g and do not decrease along
+        its lists, so checking the heads of class g only where a class-g
+        window ends finds a missed deadline at the first position that
+        misses one."""
         p, gamma = pos, 1
         while p % 2 == 0:
-            if self._waiting.get(gamma):
-                self._marked.add(gamma)
+            wl = self._waiting.get(gamma)
+            if wl:
+                self._marked |= 1 << gamma
+            for lst in (wl, self._copylist.get(gamma)):
+                if lst and not lst[0].ready and lst[0].deadline <= pos:
+                    raise AssertionError(f"copy deadline missed at position {pos}")
             p >>= 1
             gamma += 1
-        for lst in (*self._copylist.values(), *self._waiting.values()):
-            if lst and not lst[0].ready and lst[0].deadline <= pos:
-                raise AssertionError(f"copy deadline missed at position {pos}")
         budget = self.beta
-        while budget > 0:
+        while budget > 0 and (self._busy or self._marked):
             gamma = self._smallest_pending()
-            if gamma is None:
-                break
             lst = self._copylist[gamma]
             done, budget = self._fill(lst[0], budget)
             if done:
                 lst.popleft()
+                if not lst:
+                    self._busy &= ~(1 << gamma)
 
-    def _smallest_pending(self) -> int | None:
-        classes = {g for g, l in self._copylist.items() if l} | self._marked
-        for gamma in sorted(classes):
-            if gamma in self._marked:
-                wl = self._waiting.get(gamma)
-                if wl:
-                    self._copylist.setdefault(gamma, deque()).extend(wl)
-                    wl.clear()
-                self._marked.discard(gamma)
-            lst = self._copylist.get(gamma)
-            if lst:
-                return gamma
-        return None
+    def _smallest_pending(self) -> int:
+        """Lowest class with a copy list or a window mark; a marked class
+        first moves its waiting list onto its copy list."""
+        pending = self._busy | self._marked
+        gamma = (pending & -pending).bit_length() - 1
+        if self._marked >> gamma & 1:
+            self._copylist.setdefault(gamma, deque()).extend(self._waiting[gamma])
+            self._waiting[gamma].clear()
+            self._marked &= ~(1 << gamma)
+            self._busy |= 1 << gamma
+        return gamma
 
     def finish(self) -> None:
         """Drain pending copies (lazy mode); deadlines no longer apply."""
@@ -270,12 +277,13 @@ class SuccinctValidator(WitnessTracker):
             if wl:
                 self._copylist.setdefault(gamma, deque()).extend(wl)
                 wl.clear()
-        self._marked.clear()
+        self._marked = 0
         for lst in self._copylist.values():
             while lst:
                 done, _ = self._fill(lst[0])
                 if done:
                     lst.popleft()
+        self._busy = 0
 
     # -- the push ------------------------------------------------------------------
 

@@ -217,3 +217,18 @@ def test_bench_rejects_bad_n_list(n_list):
     )
     assert code == EXIT_USAGE and err.startswith("error: --n-list:")
     assert out == ""
+
+
+@pytest.mark.parametrize("sigma", ["0", "-2"])
+def test_gen_rejects_non_positive_sigma(sigma):
+    code, out, err = run_cli(["gen", "--family", "random_word", "--n", "5", "--sigma", sigma])
+    assert code == EXIT_USAGE and err == f"error: --sigma: must be at least 1, got {sigma}\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("n_max", ["0", "-5"])
+@pytest.mark.parametrize("stream", ["", "0 1"])
+def test_validate_rejects_non_positive_n_max(n_max, stream):
+    code, out, err = run_cli(["validate", "--kind", "pi", "--engine", "basic", "--n-max", n_max, "-"], stream)
+    assert code == EXIT_USAGE and err == f"error: --n-max: must be at least 1, got {n_max}\n"
+    assert out == ""
