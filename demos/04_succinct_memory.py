@@ -20,16 +20,16 @@ for name, gen in [("random", lambda n: random_valid_pi(n, seed=7)), ("unary", un
         for a in arr:
             sc.push(a)
             bv.push(a)
-        bits = sc.memory_bits()["total_used"]
+        bits = sc.stats()["memory_bits"]
         ratio = bits / (n * math.log2(math.log2(n)))
-        print(f"{name:>12} {n:>8} {bits:>12} {bv.footprint_bits():>12} {ratio:>20.2f}")
+        print(f"{name:>12} {n:>8} {bits:>12} {bv.stats()['memory_bits']:>12} {ratio:>20.2f}")
 
 print("\nComponent breakdown at n = 1e5 (random):")
 arr = random_valid_pi(10**5, seed=7)
 sc = SuccinctValidator(n_max=10**5)
 for a in arr:
     sc.push(a)
-for key, value in sc.memory_bits().items():
+for key, value in sc.stats().items():
     print(f"  {key:>26} = {value}")
 
 print("\nLazy copying (worst-case delay variant) gives identical verdicts;")
@@ -38,4 +38,4 @@ lazy = SuccinctValidator(n_max=10**5, lazy=True)
 for a in arr:
     lazy.push(a)
 lazy.finish()
-print("lazy run ok; longest in-flight chase:", lazy.chase_max)
+print("lazy run ok; longest in-flight chase:", lazy.stats()["chase_max"])

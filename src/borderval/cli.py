@@ -101,59 +101,34 @@ def _cmd_compute(args) -> int:
 
 class _Engine(NamedTuple):
     """A ``--engine`` choice: the stream kinds it validates, its constructor
-    from (n_max, lazy, instrument), the fields ``validate --instrument``
-    prints, in order, and its counter snapshot (a superset of them)."""
+    from (n_max, lazy), and the ``stats()`` keys ``validate --instrument``
+    prints, in order."""
 
     kinds: tuple[str, ...]
-    make: Callable[[int, bool, bool], object]
+    make: Callable[[int, bool], object]
     fields: tuple[str, ...]
-    stats: Callable[[object], dict[str, int]]
-
-
-def _realtime_stats(engine) -> dict[str, int]:
-    c = engine.op_counters()
-    return {
-        "max_delay_ops": c["core_push_max"],
-        "la_ops_max": c["la_push_max"],
-        "total_ops": c["core_total"] + c["la_total"],
-    }
-
-
-def _succinct_stats(engine) -> dict[str, int]:
-    m = engine.memory_bits()
-    return {
-        "memory_bits": m["total_used"],
-        "memory_bits_allocated": m["blocks_allocated_formula"] + m["per_position"],
-        "blocks_created": m["blocks_created"],
-        "chase_max": engine.chase_max,
-        "total_ops": engine.ops_total,
-    }
 
 
 ENGINES = {
     "basic": _Engine(
         ("pi",),
-        lambda n_max, lazy, instrument: OnlineValidator(instrument=instrument),
+        lambda n_max, lazy: OnlineValidator(),
         ("max_delay_ops", "total_ops", "memory_bits"),
-        lambda e: {"max_delay_ops": e.ops_push_max, "total_ops": e.ops_total, "memory_bits": e.footprint_bits()},
     ),
     "realtime": _Engine(
         ("pi",),
-        lambda n_max, lazy, instrument: RealTimeValidator(n_max=n_max, instrument=instrument),
+        lambda n_max, lazy: RealTimeValidator(n_max=n_max),
         ("max_delay_ops", "la_ops_max", "total_ops"),
-        _realtime_stats,
     ),
     "succinct": _Engine(
         ("pi",),
-        lambda n_max, lazy, instrument: SuccinctValidator(n_max=n_max, lazy=lazy, instrument=instrument),
+        lambda n_max, lazy: SuccinctValidator(n_max=n_max, lazy=lazy),
         ("memory_bits", "memory_bits_allocated", "blocks_created", "chase_max"),
-        _succinct_stats,
     ),
     "slope": _Engine(
         ("pi_prime", "g"),
-        lambda n_max, lazy, instrument: SlopeValidator(instrument=instrument),
+        lambda n_max, lazy: SlopeValidator(),
         ("total_ops", "dominance_ops"),
-        lambda e: {"total_ops": e.ops_total + e.suffix_ops()["total"], "dominance_ops": e.dom_inserts + e.dom_removals},
     ),
 }
 
@@ -192,9 +167,9 @@ def _cmd_validate(args) -> int:
     t0 = time.perf_counter()
 
     if args.kind == "g":
-        verdict, engine = validate_g_stream(values, instrument=args.instrument)
+        verdict, engine = validate_g_stream(values)
     else:
-        engine = spec.make(args.n_max, args.lazy_copy, args.instrument)
+        engine = spec.make(args.n_max, args.lazy_copy)
         verdict = _push_all(engine, values)
     wall = time.perf_counter() - t0
 
@@ -209,7 +184,7 @@ def _cmd_validate(args) -> int:
     if verdict.valid and args.emit_witness and args.kind == "pi":
         lines.append("witness=" + " ".join(str(s) for s in engine.witness()))
     if args.instrument:
-        stats = spec.stats(engine)
+        stats = engine.stats()
         lines.extend(f"{field}={stats[field]}" for field in spec.fields)
     lines.append(f"wall_ms={wall * 1000:.1f}")
     print("\n".join(lines))
@@ -222,6 +197,8 @@ def _cmd_gen(args) -> int:
         raise CliError("--n must be >= 1")
     if args.sigma < 1:
         raise CliError(f"--sigma: must be at least 1, got {args.sigma}")
+    if not 0 <= args.unary_bias <= 1:
+        raise CliError(f"--unary-bias: must be within [0, 1], got {args.unary_bias}")
     fam = args.family
     if fam == "lowerbound_pair":
         try:
@@ -281,11 +258,11 @@ def _cmd_bench(args) -> int:
     print("engine family n verdict max_delay_ops la_ops_max total_ops memory_bits wall_ms")
     for n in ns:
         arr = generate(n, args.seed)
-        eng = spec.make(n, args.lazy_copy, True)
+        eng = spec.make(n, args.lazy_copy)
         t0 = time.perf_counter()
         verdict = _push_all(eng, arr)
         wall = (time.perf_counter() - t0) * 1000
-        stats = spec.stats(eng)
+        stats = eng.stats()
         delay, la_max, total, mem = (stats.get(k, 0) for k in ("max_delay_ops", "la_ops_max", "total_ops", "memory_bits"))
         word = "valid" if verdict.valid else f"invalid@{verdict.position}"
         print(f"{args.engine} {args.family} {n} {word} {delay} {la_max} {total} {mem} {wall:.1f}")
@@ -310,8 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=list(ENGINES), required=True)
     p.add_argument("--emit-pi", action="store_true", help="print the recovered border array")
     p.add_argument("--emit-witness", action="store_true", help="print a witness word")
-    p.add_argument("--format", choices=["text"], default="text")
-    p.add_argument("--instrument", action="store_true")
+    p.add_argument("--instrument", action="store_true", help="print the engine's counters")
     p.add_argument("--lazy-copy", action="store_true")
     p.add_argument("--n-max", type=int, default=2**32, help="longest stream accepted; sizes realtime and succinct")
     p.add_argument("input", help="array file or - for stdin")
@@ -331,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output prefix (required for lowerbound_pair)")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("bench", help="instrumentation table over an n range")
+    p = sub.add_parser("bench", help="counter table over an n range")
     p.add_argument("--engine", choices=list(ENGINES), required=True)
     p.add_argument("--family", choices=list(BENCH_FAMILIES), required=True)
     p.add_argument("--n-list", required=True, help="comma-separated sizes")

@@ -88,14 +88,11 @@ class WitnessTracker:
 class OnlineValidator(WitnessTracker):
     """Streaming border-array validator; linear memory, O(min(n, sigma)) delay."""
 
-    def __init__(self, debug: bool = False, instrument: bool = False):
+    def __init__(self, debug: bool = False):
         super().__init__()
         self._a: list[int] = []
         self._stored: list[tuple[int, ...]] = []  # positive candidates per position
         self.debug = debug
-        self.instrument = instrument
-        self.ops_total = 0
-        self.ops_push_max = 0
 
     def candidates_for_next(self) -> tuple[int, ...]:
         """Valid values for the next position, 0 included, sorted ascending."""
@@ -139,19 +136,19 @@ class OnlineValidator(WitnessTracker):
                 p,
                 stored,
             )
-        self._note_ops(1 + len(stored))
         return Verdict(True, max_alphabet=self.max_alphabet, letter=letter)
-
-    def _note_ops(self, ops: int) -> None:
-        if self.instrument:
-            self.ops_total += ops
-            if ops > self.ops_push_max:
-                self.ops_push_max = ops
 
     # -- outputs ------------------------------------------------------------
 
-    def footprint_bits(self, word_bits: int = 64) -> int:
-        """Declared-layout memory: one machine word for each of the value,
-        father, letter and path-alphabet fields plus one per candidate entry."""
-        entries = sum(len(s) for s in self._stored)
-        return word_bits * (4 * len(self._a) + entries)
+    def stats(self) -> dict[str, int]:
+        """Counted work and declared memory.  An accepted push costs one op
+        plus one per stored candidate, so both op counts follow from the
+        stored sets.  ``memory_bits`` is one 64-bit word for each of the
+        value, father, letter and path-alphabet fields plus one per
+        candidate entry."""
+        ops = [1 + len(s) for s in self._stored]
+        return {
+            "total_ops": sum(ops),
+            "max_delay_ops": max(ops, default=0),
+            "memory_bits": 64 * (3 * len(ops) + sum(ops)),
+        }

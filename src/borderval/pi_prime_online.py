@@ -34,6 +34,13 @@ Committed values are fed to an embedded candidate-set validator, which
 supplies witness letters, the minimal alphabet, and the descending candidate
 list for each new slope head.  A fresh slope head whose candidate reaches 0
 is fed immediately: 0 is final, any later conflict rejects the stream.
+
+The engine is online, not real-time: the O(n log n) bound on counted work
+(acceptance criterion C9) holds for the stream in total, not per push.  A
+push that ends a slope commits the whole run to the embedded validator in
+that one call.  On the Fibonacci word's strict array (n = 39,737), the push
+at position 28,655 commits 10,946 values and takes 30-60 ms, while the
+median push takes 3-5 us (a 2-vCPU Xeon, cyclic GC off).
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ __all__ = ["SlopeValidator", "validate_g_stream"]
 
 
 class SlopeValidator:
-    def __init__(self, debug: bool = False, instrument: bool = False):
+    def __init__(self, debug: bool = False):
         self._pp: list[int] = []  # strict values read, 0-based storage
         self._committed: list[int] = []  # A[1..i-1]
         self._i = 1  # first position of the last slope
@@ -57,14 +64,12 @@ class SlopeValidator:
         self._start_fed = True  # slope head already in the embedded validator
         self._emb = OnlineValidator()
         self._emb.push(0)  # A[1] = 0 is forced and final
-        self._sfx = OnlineSuffixIndex(instrument=instrument)
+        self._sfx = OnlineSuffixIndex()
         self._dom: deque[int] = deque()
-        self.dom_inserts = 0
-        self.dom_removals = 0
+        self._dom_ops = 0  # dominance-list inserts and removals
+        self._ops_total = 0
         self.failed_at: int | None = None
         self.debug = debug
-        self.instrument = instrument
-        self.ops_total = 0
 
     # -- array views ---------------------------------------------------------
 
@@ -140,7 +145,7 @@ class SlopeValidator:
                 continue
             self._feed_embedded(value)
             ops += 1
-        self.ops_total += ops
+        self._ops_total += ops
         self._birth_slope(j + 1)
 
     # -- queries ---------------------------------------------------------------
@@ -173,7 +178,7 @@ class SlopeValidator:
         whether any j in [i..n] has A'[j] >= A[j]."""
         while self._dom and self._dom[0] < self._i:
             self._dom.popleft()
-            self.dom_removals += 1
+            self._dom_ops += 1
         head = self._dom[0] if self._dom else None
         if self.debug:
             lo = None
@@ -227,7 +232,7 @@ class SlopeValidator:
                 raise AssertionError(
                     f"value query decomposition wrong: i={i} c={c} n={n} q={q}"
                 )
-        self.ops_total += ops
+        self._ops_total += ops
         return result
 
     # -- the push ---------------------------------------------------------------
@@ -239,7 +244,7 @@ class SlopeValidator:
             return self._fail(len(self._pp) + 1)
         self._pp.append(a_prime)
         n = len(self._pp)
-        self.ops_total += 1
+        self._ops_total += 1
 
         if a_prime > self._a_at(n):
             return self._fail(n)
@@ -247,9 +252,9 @@ class SlopeValidator:
         # dominance list: drop newly dominated tail entries, then insert n
         while self._dom and self._dominates(n, self._dom[-1]):
             self._dom.pop()
-            self.dom_removals += 1
+            self._dom_ops += 1
         self._dom.append(n)
-        self.dom_inserts += 1
+        self._dom_ops += 1
 
         # arrival anchor: value the start-of-arrival slope assigns to the
         # current slope head (adjustments only ever go below it)
@@ -266,7 +271,7 @@ class SlopeValidator:
                     if self._pp_at(self._i + t) != self._pp_at(self._cand + t):
                         ok = False
                         break
-                self.ops_total += j - self._i
+                self._ops_total += j - self._i
                 if not ok:
                     return self._fail(n)
                 self._commit(j)
@@ -281,23 +286,29 @@ class SlopeValidator:
 
     # -- outputs ---------------------------------------------------------------
 
-    def suffix_ops(self) -> dict:
+    def stats(self) -> dict[str, int]:
+        """Counted work: ``total_ops`` is this engine's own work plus the
+        suffix index's (``query_ops_max`` and ``indexed`` report the index
+        apart), ``embedded_ops`` the embedded validator's ``total_ops``, and
+        ``dominance_ops`` the dominance-list inserts and removals."""
+        sfx = self._sfx.stats()
         return {
-            "query_ops_max": self._sfx.query_ops_max,
-            "query_budget_max": self._sfx.query_budget_max,
-            "total": self._sfx.ops_total,
+            "total_ops": self._ops_total + sfx["total_ops"],
+            "dominance_ops": self._dom_ops,
+            "embedded_ops": self._emb.stats()["total_ops"],
+            "query_ops_max": sfx["query_ops_max"],
             "indexed": self._sfx.size,
         }
 
 
-def validate_g_stream(values, debug: bool = False, instrument: bool = False):
+def validate_g_stream(values, debug: bool = False):
     """Validate a stream under the shifted convention g[i] = A'[i-1] + 1.
 
     The first value must be 0 (the empty prefix has strict value -1); each
     later g[k] is fed as A'[k-1] = g[k] - 1.  Returns (verdict, validator);
     positions in the verdict use g's indexing.
     """
-    pp = SlopeValidator(debug=debug, instrument=instrument)
+    pp = SlopeValidator(debug=debug)
     for k, g in enumerate(values, start=1):
         if k == 1:
             if g != 0:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 
 from .level_ancestor import JumpPointerLA
-from .pi_online import PushAfterFailure, StateInvalid, Verdict, WitnessTracker
+from .pi_online import PushAfterFailure, Verdict, WitnessTracker
 
 __all__ = ["RealTimeValidator"]
 
@@ -42,7 +42,7 @@ def dprime_width(n_max: int) -> int:
 
 
 class RealTimeValidator(WitnessTracker):
-    def __init__(self, n_max: int = 2**32, debug: bool = False, instrument: bool = False):
+    def __init__(self, n_max: int = 2**32, debug: bool = False):
         super().__init__()
         self.n_max = n_max
         self._width = dprime_width(n_max)
@@ -52,11 +52,11 @@ class RealTimeValidator(WitnessTracker):
         self._bits: list[int] = []  # candidate vector per position, d'-indexed
         self._la = JumpPointerLA()
         self.debug = debug
-        self.instrument = instrument
-        self.ops_total = 0
-        self.ops_push_max = 0
-        self.la_ops_total = 0
-        self.la_ops_push_max = 0
+        # counted work of accepted pushes; the per-push maxima keep core
+        # and level-ancestor ops apart
+        self._ops_total = 0
+        self._ops_push_max = 0
+        self._la_ops_push_max = 0
 
     def push(self, a: int) -> Verdict:
         if self.failed_at is not None:
@@ -108,29 +108,22 @@ class RealTimeValidator(WitnessTracker):
         self._bits.append(bits)
         self._letter.append(letter)
         self._alph.append(alph)
-        self._note_ops(ops, self._la.ops - la_start)
+        la_ops = self._la.ops - la_start
+        self._ops_total += ops + la_ops
+        if ops > self._ops_push_max:
+            self._ops_push_max = ops
+        if la_ops > self._la_ops_push_max:
+            self._la_ops_push_max = la_ops
         return Verdict(True, max_alphabet=self.max_alphabet, letter=letter)
 
-    def _note_ops(self, ops: int, la_ops: int) -> None:
-        if not self.instrument:
-            return
-        self.ops_total += ops
-        self.la_ops_total += la_ops
-        if ops > self.ops_push_max:
-            self.ops_push_max = ops
-        if la_ops > self.la_ops_push_max:
-            self.la_ops_push_max = la_ops
-
-    def op_counters(self) -> dict:
-        """Max and total of per-push core operations; level-ancestor
-        structure costs reported separately."""
-        if not self.instrument:
-            raise StateInvalid("instrumentation disabled")
+    def stats(self) -> dict[str, int]:
+        """Core ops per push (``max_delay_ops``, the constant-delay claim)
+        and level-ancestor ops per push (``la_ops_max``) apart; their sum
+        over the stream is ``total_ops``."""
         return {
-            "core_push_max": self.ops_push_max,
-            "core_total": self.ops_total,
-            "la_push_max": self.la_ops_push_max,
-            "la_total": self.la_ops_total,
+            "max_delay_ops": self._ops_push_max,
+            "la_ops_max": self._la_ops_push_max,
+            "total_ops": self._ops_total,
         }
 
     def dprime_values(self) -> list[int]:

@@ -77,14 +77,12 @@ class SuccinctValidator(WitnessTracker):
         lazy: bool = False,
         beta: int = 8,
         debug: bool = False,
-        instrument: bool = False,
     ):
         super().__init__()
         self.n_max = n_max
         self.lazy = lazy
         self.beta = beta
         self.debug = debug
-        self.instrument = instrument
         # per-position narrow records (letter and path alphabet in the base)
         self._b: list[int] = []
         self._kx: list[int] = []
@@ -100,9 +98,8 @@ class SuccinctValidator(WitnessTracker):
         # blocks waiting; bit g of _busy = _copylist[g] is non-empty
         self._marked = 0
         self._busy = 0
-        self.chase_max = 0
-        self.window_fill_max = 0
-        self.ops_total = 0
+        self._chase_max = 0
+        self._window_fill_max = 0
 
     # -- record plumbing ------------------------------------------------------
 
@@ -138,8 +135,8 @@ class SuccinctValidator(WitnessTracker):
             t += 1
             if t > CHASE_CAP:
                 raise AssertionError("in-flight chase exceeded its constant bound")
-        if t > self.chase_max:
-            self.chase_max = t
+        if t > self._chase_max:
+            self._chase_max = t
         return t, value, removed, block
 
     def _chain_find(self, u: int, a: int) -> int:
@@ -190,8 +187,8 @@ class SuccinctValidator(WitnessTracker):
         blk = _Block(value, src, removed, deadline=(window + 2) << alpha)
         group.append(blk)
         self._blocks_created += 1
-        if len(group) > self.window_fill_max:
-            self.window_fill_max = len(group)
+        if len(group) > self._window_fill_max:
+            self._window_fill_max = len(group)
         if self.lazy:
             self._waiting.setdefault(alpha, deque()).append(blk)
         else:
@@ -290,7 +287,6 @@ class SuccinctValidator(WitnessTracker):
     def push(self, a: int) -> Verdict:
         if self.failed_at is not None:
             raise PushAfterFailure(f"stream failed at {self.failed_at}")
-        self.ops_total += 1
         x = len(self._letter) + 1
         f = self._prev_a + 1
         if a < 0 or a > f:
@@ -324,10 +320,12 @@ class SuccinctValidator(WitnessTracker):
             self._scheduler_tick(x)
         return Verdict(True, max_alphabet=self.max_alphabet, letter=letter)
 
-    # -- memory accounting ------------------------------------------------------
+    # -- counters and memory accounting -------------------------------------------
 
-    def memory_bits(self) -> dict:
-        """Logical bits of the declared layout; see docs/succinct_layout.md."""
+    def stats(self) -> dict[str, int]:
+        """Logical bits of the declared layout (see docs/succinct_layout.md),
+        the block and chase counters, and ``total_ops``: one per push, the
+        rejected one included."""
         n = len(self._letter)
         nm = self.n_max
         sigma_bits = max(1, (nm.bit_length() + 2).bit_length())
@@ -348,14 +346,17 @@ class SuccinctValidator(WitnessTracker):
             len(d) for d in self._copylist.values()
         )
         scheduler = sched_entries * (nm.bit_length() + 12) + 2 * nm.bit_length()
-        total_used = per_position + used_blocks + scheduler + 4 * nm.bit_length()
         return {
+            "memory_bits": per_position + used_blocks + scheduler + 4 * nm.bit_length(),
+            "memory_bits_allocated": per_position + allocated_blocks,
             "per_position": per_position,
             "blocks_used": used_blocks,
             "blocks_allocated_formula": allocated_blocks,
             "scheduler": scheduler,
-            "total_used": total_used,
             "blocks_created": self._blocks_created,
+            "chase_max": self._chase_max,
+            "window_fill_max": self._window_fill_max,
+            "total_ops": n + (self.failed_at is not None),
         }
 
 

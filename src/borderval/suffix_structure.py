@@ -17,9 +17,8 @@ Implementation: Ukkonen's online suffix tree over the integer alphabet
   pending tail is exactly the set of repeated suffixes, so this comparison
   is bounded by the tree's current remainder.
 
-Every comparison and tree step is counted when instrumentation is on; the
-per-query budget relative to l is asserted in tests on the corpora this
-package ships.
+Every comparison and tree step is counted; ``stats()`` reports the total
+and the costliest query.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ class _Node:
 
 
 class OnlineSuffixIndex:
-    def __init__(self, instrument: bool = False):
+    def __init__(self):
         self._s: list[int] = []
         self.root = _Node(-1, -1, None)
         self._active_node = self.root
@@ -47,11 +46,8 @@ class OnlineSuffixIndex:
         self._active_len = 0
         self._remainder = 0
         self._leaves: list[_Node] = []  # leaf of suffix j+1 at index j
-        self.instrument = instrument
-        self.ops_total = 0
-        self.query_ops_last = 0
-        self.query_ops_max = 0
-        self.query_budget_max = 0.0  # max of ops / (l + 1)
+        self._ops_total = 0
+        self._query_ops_max = 0
 
     @property
     def size(self) -> int:
@@ -114,8 +110,7 @@ class OnlineSuffixIndex:
             elif self._active_node is not self.root:
                 self._active_node = self._active_node.slink or self.root
 
-        if self.instrument:
-            self.ops_total += ops
+        self._ops_total += ops
 
     # ------------------------------------------------------------------
 
@@ -133,38 +128,31 @@ class OnlineSuffixIndex:
         if p < 1 or l < 0 or p + l > m + 1:
             raise ValueError(f"query out of range: p={p} l={l} m={m}")
         ops = 1
-        if l == 0 or p + l > m:
-            self._note_query(ops, l)
-            return True
-        result: bool
-        if p + l <= self._explicit_suffixes():
-            # explicit suffix: provably not a prefix of the longer suffix
-            result = False
-        else:
-            s = self._s
-            i = p + l - 1
-            j = p - 1
-            result = True
-            while i < m:
-                ops += 1
-                if s[i] != s[j]:
-                    result = False
-                    break
-                i += 1
-                j += 1
-        self._note_query(ops, l)
+        result = True  # also for an empty comparison
+        if l and p + l <= m:
+            if p + l <= self._explicit_suffixes():
+                # explicit suffix: provably not a prefix of the longer suffix
+                result = False
+            else:
+                s = self._s
+                i = p + l - 1
+                j = p - 1
+                while i < m:
+                    ops += 1
+                    if s[i] != s[j]:
+                        result = False
+                        break
+                    i += 1
+                    j += 1
+        self._ops_total += ops
+        if ops > self._query_ops_max:
+            self._query_ops_max = ops
         return result
 
-    def _note_query(self, ops: int, l: int) -> None:
-        self.query_ops_last = ops
-        if not self.instrument:
-            return
-        self.ops_total += ops
-        if ops > self.query_ops_max:
-            self.query_ops_max = ops
-        budget = ops / (l + 1)
-        if budget > self.query_budget_max:
-            self.query_budget_max = budget
+    def stats(self) -> dict[str, int]:
+        """Counted tree steps and query comparisons, and the costliest
+        query apart."""
+        return {"total_ops": self._ops_total, "query_ops_max": self._query_ops_max}
 
     def naive_query(self, p: int, l: int, m: int) -> bool:
         """Direct definition, for cross-checking."""

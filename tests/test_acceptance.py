@@ -242,13 +242,13 @@ def test_criterion_7_constant_delay():
     for name, gen in families.items():
         for n in (10**3, 10**4, 10**5, 10**6):
             arr = gen(n)
-            v = RealTimeValidator(n_max=n, instrument=True)
+            v = RealTimeValidator(n_max=n)
             for a in arr:
                 assert v.push(a).valid
-            c = v.op_counters()
-            worst[(name, n)] = c["core_push_max"]
-            la_worst[(name, n)] = c["la_push_max"]
-            assert c["core_push_max"] <= C7_CORE_OPS_MAX, (name, n, c)
+            c = v.stats()
+            worst[(name, n)] = c["max_delay_ops"]
+            la_worst[(name, n)] = c["la_ops_max"]
+            assert c["max_delay_ops"] <= C7_CORE_OPS_MAX, (name, n, c)
     _report(7, "constant delay",
             f"core ops/push <= {C7_CORE_OPS_MAX} on all families and sizes "
             f"(observed max {max(worst.values())}; level-ancestor fallback "
@@ -267,12 +267,13 @@ def test_criterion_8_memory_scaling():
         sc = SuccinctValidator(n_max=n)
         for a in arr:
             assert sc.push(a).valid
-        bits = sc.memory_bits()["total_used"]
+        bits = sc.stats()["memory_bits"]
         ratios[n] = bits / (n * math.log2(math.log2(n)))
         basic = OnlineValidator()
         for a in arr:
             basic.push(a)
-        assert bits <= basic.footprint_bits() / 4, (n, bits, basic.footprint_bits())
+        basic_bits = basic.stats()["memory_bits"]
+        assert bits <= basic_bits / 4, (n, bits, basic_bits)
         # lazy mode: the scheduler asserts its own deadlines on every push
         lazy = SuccinctValidator(n_max=n, lazy=True)
         for a in arr:
@@ -294,13 +295,14 @@ def test_criterion_9_pi_prime_time_bound():
     coeffs = {}
     for n in (10**4, 10**5):
         stream = random_valid_pi_prime(n, seed=11)
-        v = SlopeValidator(instrument=True)
+        v = SlopeValidator()
         for x in stream:
             assert v.push(x).valid
-        total = v.ops_total + v._sfx.ops_total + v._emb.ops_total
+        stats = v.stats()
+        total = stats["total_ops"] + stats["embedded_ops"]
         coeffs[n] = total / (n * math.log2(n))
         assert coeffs[n] <= C9_OPS_COEFF, (n, coeffs[n])
-        assert v.dom_inserts + v.dom_removals <= 2 * n
+        assert stats["dominance_ops"] <= 2 * n
     _report(9, "pi-prime time bound",
             f"ops/(n log2 n) = {coeffs[10**4]:.2f} @1e4, {coeffs[10**5]:.2f} @1e5 "
             f"(budget {C9_OPS_COEFF}); dominance ops within 2n ({time.time() - t0:.0f}s)")

@@ -232,3 +232,10 @@ def test_validate_rejects_non_positive_n_max(n_max, stream):
     code, out, err = run_cli(["validate", "--kind", "pi", "--engine", "basic", "--n-max", n_max, "-"], stream)
     assert code == EXIT_USAGE and err == f"error: --n-max: must be at least 1, got {n_max}\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("bias", ["2", "-1"])
+def test_gen_rejects_unary_bias_outside_unit_interval(bias):
+    code, out, err = run_cli(["gen", "--family", "random_valid_pi", "--n", "5", "--unary-bias", bias])
+    assert code == EXIT_USAGE and err == f"error: --unary-bias: must be within [0, 1], got {float(bias)}\n"
+    assert out == ""

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borderval.border_core import compute_pi, pi_to_pi_prime
-from borderval.families import fibonacci_word, random_valid_pi_prime
+from borderval.families import fibonacci_word, random_valid_pi, random_valid_pi_prime, random_word
 from borderval.oracle import enumerate_pi_prime_prefix_witnesses, iter_canonical_pi
 from borderval.pi_online import OnlineValidator, PushAfterFailure
 from borderval.pi_prime_online import SlopeValidator, validate_g_stream
@@ -113,7 +115,7 @@ def test_dominance_budget():
     v = SlopeValidator()
     for x in stream:
         assert v.push(x).valid
-    assert v.dom_inserts + v.dom_removals <= 2 * len(stream)
+    assert v.stats()["dominance_ops"] <= 2 * len(stream)
 
 
 def test_random_streams_with_shadow_oracles():
@@ -168,10 +170,10 @@ INDEX_SEEDS = (6, 14, 39)  # random_valid_pi_prime(300, seed) makes l > 0 value 
 
 def _push_counting_index(stream):
     """Push with shadow checks; the index never holds more than was pushed."""
-    v = SlopeValidator(debug=True, instrument=True)
+    v = SlopeValidator(debug=True)
     for pushed, x in enumerate(stream, start=1):
         verdict = v.push(x)
-        assert v.suffix_ops()["indexed"] <= pushed
+        assert v.stats()["indexed"] <= pushed
         if not verdict.valid:
             break
     return v
@@ -181,7 +183,7 @@ def test_fibonacci_stream_builds_no_index():
     pi = compute_pi(fibonacci_word(3001))
     v = SlopeValidator()
     assert drive(v, pi_to_pi_prime(pi)[:3000]) is None
-    assert v.suffix_ops()["indexed"] == 0
+    assert v.stats()["indexed"] == 0
 
 
 @pytest.mark.parametrize("seed", INDEX_SEEDS)
@@ -189,10 +191,61 @@ def test_index_caught_up_on_demand(seed):
     base = random_valid_pi_prime(300, seed)
     v = _push_counting_index(base)
     assert v.failed_at is None
-    assert v.suffix_ops()["query_ops_max"] > 0
+    assert v.stats()["query_ops_max"] > 0
     queried = 0
     for p in range(1, len(base) + 1, 7):
         for x in {-1, 0, base[p - 1] + 1} - {base[p - 1]}:
             mutated = base[: p - 1] + [x] + base[p:]
-            queried += _push_counting_index(mutated).suffix_ops()["query_ops_max"] > 0
+            queried += _push_counting_index(mutated).stats()["query_ops_max"] > 0
     assert queried > 0
+
+
+# -- property test: recovery round trip and the g convention -----------------------
+
+
+@st.composite
+def mutated_pi_prime_streams(draw):
+    """pi' of a valid array (sampled, biased or of a random word), n 100-500,
+    with up to three values replaced; returns (stream, unmutated)."""
+    n = draw(st.integers(min_value=100, max_value=500))
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    source = draw(st.sampled_from(["sampled", "biased", "word"]))
+    if source == "sampled":
+        pi = random_valid_pi(n + 1, seed)
+    elif source == "biased":
+        pi = random_valid_pi(n + 1, seed, unary_bias=0.7)
+    else:
+        pi = compute_pi(random_word(n + 1, draw(st.integers(min_value=2, max_value=3)), seed))
+    base = pi_to_pi_prime(pi)[:n]
+    stream = list(base)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i = draw(st.integers(min_value=1, max_value=n - 1))
+        # near the old value, any in-range value, one seen elsewhere, or -2
+        near = draw(st.sampled_from([base[i] - 1, base[i] + 1, -1, 0]))
+        anywhere = draw(st.integers(min_value=-1, max_value=i))
+        elsewhere = base[draw(st.integers(min_value=0, max_value=n - 1))]
+        stream[i] = draw(st.sampled_from([near, near, anywhere, elsewhere, -2]))
+    return stream, stream == base
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_pi_prime_streams())
+def test_recovery_round_trip_and_g_convention(case):
+    stream, unmutated = case
+    v = SlopeValidator()
+    for x in stream:
+        verdict = v.push(x)
+        if not verdict.valid:
+            break
+    assert verdict.valid or not unmutated
+    if verdict.valid:
+        rec = v.recovered_pi()
+        assert drive(OnlineValidator(), rec) is None
+        assert pi_to_pi_prime(rec)[: len(stream)] == stream
+    g_verdict, _ = validate_g_stream([0] + [x + 1 for x in stream])
+    position = None if verdict.valid else verdict.position + 1
+    assert (g_verdict.valid, g_verdict.position, g_verdict.max_alphabet) == (
+        verdict.valid,
+        position,
+        verdict.max_alphabet,
+    )

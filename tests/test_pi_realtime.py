@@ -115,10 +115,10 @@ def test_halving_on_valid_inputs():
 
 def test_constant_core_delay_small_grid():
     for n in (100, 1000, 5000):
-        v = RealTimeValidator(n_max=n, instrument=True)
+        v = RealTimeValidator(n_max=n)
         for a in random_valid_pi(n, seed=3):
             v.push(a)
-        assert v.op_counters()["core_push_max"] <= 8
+        assert v.stats()["max_delay_ops"] <= 8
 
 
 def test_push_after_failure_raises():

@@ -47,7 +47,7 @@ def test_random_streams_both_modes(lazy):
         if lazy:
             v.finish()
         assert v.witness() == b.witness()
-        assert v.chase_max <= 8
+        assert v.stats()["chase_max"] <= 8
 
 
 def test_unary_stays_small():
@@ -55,7 +55,7 @@ def test_unary_stays_small():
     v = SuccinctValidator(n_max=n)
     for a in unary_pi(n):
         assert v.push(a).valid
-    m = v.memory_bits()
+    m = v.stats()
     # a single-letter input needs no candidate blocks at all
     assert m["blocks_created"] <= 1
     assert v.max_alphabet == 1
@@ -71,7 +71,7 @@ def test_window_capacity_never_reached():
         v = SuccinctValidator(n_max=8192, debug=True)
         for a in arr:
             assert v.push(a).valid
-        assert v.window_fill_max <= 48
+        assert v.stats()["window_fill_max"] <= 48
 
 
 def test_window_distinct_check_families():
@@ -86,8 +86,8 @@ def test_memory_accounting_components():
     v = SuccinctValidator(n_max=2000)
     for a in arr:
         v.push(a)
-    m = v.memory_bits()
-    assert m["total_used"] >= m["per_position"]
+    m = v.stats()
+    assert m["memory_bits"] >= m["per_position"]
     assert m["blocks_used"] <= m["blocks_allocated_formula"]
     nm_bits = (2000).bit_length()  # 11
     sigma = (nm_bits + 2).bit_length()
@@ -102,7 +102,7 @@ def test_lazy_copy_deadlines_hold():
     for a in arr:
         assert v.push(a).valid
     v.finish()
-    assert v.chase_max <= 8
+    assert v.stats()["chase_max"] <= 8
 
 
 # Lazy scheduler behaviour pinned value for value: where a too-small budget
@@ -147,14 +147,18 @@ def test_lazy_scheduler_pinned(stream, beta, chase_max, window_fill_max, pending
     for x, a in enumerate(_PINNED_STREAMS[stream](), start=1):
         assert v.push(a).valid
         if x % 16 == 0:
-            sampled += v.memory_bits()["scheduler"]
+            sampled += v.stats()["scheduler"]
     v.finish()
-    assert (v.chase_max, v.window_fill_max, v.ops_total, sampled) == (chase_max, window_fill_max, 3000, pending)
-    assert v.memory_bits() == {
+    assert sampled == pending
+    assert v.stats() == {
+        "memory_bits": 72000 + blocks_used + 26 + 4 * 13,
+        "memory_bits_allocated": 72000 + 3032256,
         "per_position": 72000,
         "blocks_used": blocks_used,
         "blocks_allocated_formula": 3032256,
         "scheduler": 26,
-        "total_used": 72000 + blocks_used + 26 + 4 * 13,
         "blocks_created": blocks_created,
+        "chase_max": chase_max,
+        "window_fill_max": window_fill_max,
+        "total_ops": 3000,
     }

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from borderval.suffix_structure import OnlineSuffixIndex
 
 
-def build(stream, instrument=False):
-    idx = OnlineSuffixIndex(instrument=instrument)
+def build(stream):
+    idx = OnlineSuffixIndex()
     for s in stream:
         idx.append(s)
     return idx
@@ -61,7 +61,7 @@ def test_random_trials_online():
 
 def test_query_cost_counter():
     rng = random.Random(8)
-    idx = OnlineSuffixIndex(instrument=True)
+    idx = OnlineSuffixIndex()
     for _ in range(3000):
         idx.append(rng.randint(1, 3))
     m = idx.size
@@ -71,15 +71,14 @@ def test_query_cost_counter():
         idx.is_suffix_prefix_of_suffix(p, l, m)
     # false answers resolve in O(1) via the leaf shortcut; true answers on
     # pending suffixes cost one comparison per symbol compared
-    assert idx.query_ops_max <= m
-    assert idx.query_budget_max >= 0
+    assert idx.stats()["query_ops_max"] <= m
 
 
 def test_construction_ops_scale():
     rng = random.Random(12)
-    idx = OnlineSuffixIndex(instrument=True)
+    idx = OnlineSuffixIndex()
     n = 20000
     for _ in range(n):
         idx.append(rng.randint(0, 50))
     # amortized construction work stays within a small multiple of n
-    assert idx.ops_total <= 8 * n
+    assert idx.stats()["total_ops"] <= 8 * n
