@@ -1,4 +1,4 @@
-"""Command-line front end: compute, validate, gen, bench.
+"""Command-line front end: compute, validate, gen.
 
 Input conventions: arrays are whitespace/newline-separated signed decimal
 integers; words are ASCII letters, or integers with --ints.  "-" reads stdin.
@@ -73,20 +73,6 @@ def _parse_word(text: str, path: str, as_ints: bool):
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _parse_n_list(text: str) -> list[int]:
-    """``--n-list``: comma-separated positive stream lengths."""
-    ns = []
-    for tok in text.split(","):
-        try:
-            n = int(tok)
-        except ValueError:
-            raise CliError(f"--n-list: not an integer: {tok!r}") from None
-        if n < 1:
-            raise CliError(f"--n-list: sizes must be positive: {tok!r}")
-        ns.append(n)
-    return ns
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -100,43 +86,18 @@ def _cmd_compute(args) -> int:
 
 
 class _Engine(NamedTuple):
-    """A ``--engine`` choice: the stream kinds it validates, its constructor
-    from (n_max, lazy), and the ``stats()`` keys ``validate --instrument``
-    prints, in order."""
+    """A ``--engine`` choice: the stream kinds it validates and its
+    constructor from (n_max, lazy)."""
 
     kinds: tuple[str, ...]
     make: Callable[[int, bool], object]
-    fields: tuple[str, ...]
 
 
 ENGINES = {
-    "basic": _Engine(
-        ("pi",),
-        lambda n_max, lazy: OnlineValidator(),
-        ("max_delay_ops", "total_ops", "memory_bits"),
-    ),
-    "realtime": _Engine(
-        ("pi",),
-        lambda n_max, lazy: RealTimeValidator(n_max=n_max),
-        ("max_delay_ops", "la_ops_max", "total_ops"),
-    ),
-    "succinct": _Engine(
-        ("pi",),
-        lambda n_max, lazy: SuccinctValidator(n_max=n_max, lazy=lazy),
-        ("memory_bits", "memory_bits_allocated", "blocks_created", "chase_max"),
-    ),
-    "slope": _Engine(
-        ("pi_prime", "g"),
-        lambda n_max, lazy: SlopeValidator(),
-        ("total_ops", "dominance_ops"),
-    ),
-}
-
-BENCH_FAMILIES = {  # name -> (stream kind, generator of (n, seed))
-    "unary": ("pi", lambda n, seed: families.unary_pi(n)),
-    "fibonacci": ("pi", lambda n, seed: compute_pi(families.fibonacci_word(n))),
-    "random_valid_pi": ("pi", families.random_valid_pi),
-    "random_pi_prime": ("pi_prime", families.random_valid_pi_prime),
+    "basic": _Engine(("pi",), lambda n_max, lazy: OnlineValidator()),
+    "realtime": _Engine(("pi",), lambda n_max, lazy: RealTimeValidator(n_max=n_max)),
+    "succinct": _Engine(("pi",), lambda n_max, lazy: SuccinctValidator(n_max=n_max, lazy=lazy)),
+    "slope": _Engine(("pi_prime", "g"), lambda n_max, lazy: SlopeValidator()),
 }
 
 
@@ -184,8 +145,7 @@ def _cmd_validate(args) -> int:
     if verdict.valid and args.emit_witness and args.kind == "pi":
         lines.append("witness=" + " ".join(str(s) for s in engine.witness()))
     if args.instrument:
-        stats = engine.stats()
-        lines.extend(f"{field}={stats[field]}" for field in spec.fields)
+        lines.extend(f"{key}={value}" for key, value in engine.stats().items())
     lines.append(f"wall_ms={wall * 1000:.1f}")
     print("\n".join(lines))
     return EXIT_VALID if verdict.valid else EXIT_INVALID
@@ -208,8 +168,12 @@ def _cmd_gen(args) -> int:
         if not args.out:
             raise CliError("lowerbound_pair needs --out PREFIX (writes two files)")
         for name, arr in (("a", valid), ("b", invalid)):
-            with open(f"{args.out}.{name}.txt", "w", encoding="ascii") as fh:
-                fh.write("\n".join(str(v) for v in arr) + "\n")
+            path = f"{args.out}.{name}.txt"
+            try:
+                with open(path, "w", encoding="ascii") as fh:
+                    fh.write("\n".join(str(v) for v in arr) + "\n")
+            except OSError as exc:
+                raise CliError(f"cannot write {path}: {exc}") from exc
         # declare the valid member by actually validating, not by construction
         ok_a = _push_all(OnlineValidator(), valid).valid
         print(f"format=1\nfamily=lowerbound_pair n={n} seed={seed}")
@@ -251,24 +215,6 @@ def _cmd_gen(args) -> int:
     return EXIT_VALID
 
 
-def _cmd_bench(args) -> int:
-    kind, generate = BENCH_FAMILIES[args.family]
-    spec = _engine(args.engine, kind)
-    ns = _parse_n_list(args.n_list)
-    print("engine family n verdict max_delay_ops la_ops_max total_ops memory_bits wall_ms")
-    for n in ns:
-        arr = generate(n, args.seed)
-        eng = spec.make(n, args.lazy_copy)
-        t0 = time.perf_counter()
-        verdict = _push_all(eng, arr)
-        wall = (time.perf_counter() - t0) * 1000
-        stats = eng.stats()
-        delay, la_max, total, mem = (stats.get(k, 0) for k in ("max_delay_ops", "la_ops_max", "total_ops", "memory_bits"))
-        word = "valid" if verdict.valid else f"invalid@{verdict.position}"
-        print(f"{args.engine} {args.family} {n} {word} {delay} {la_max} {total} {mem} {wall:.1f}")
-    return EXIT_VALID
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -287,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=list(ENGINES), required=True)
     p.add_argument("--emit-pi", action="store_true", help="print the recovered border array")
     p.add_argument("--emit-witness", action="store_true", help="print a witness word")
-    p.add_argument("--instrument", action="store_true", help="print the engine's counters")
+    p.add_argument("--instrument", action="store_true", help="print every stats() counter of the engine")
     p.add_argument("--lazy-copy", action="store_true")
     p.add_argument("--n-max", type=int, default=2**32, help="longest stream accepted; sizes realtime and succinct")
     p.add_argument("input", help="array file or - for stdin")
@@ -306,14 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", choices=["auto", "word", "pi", "pi_prime"], default="auto")
     p.add_argument("--out", help="output prefix (required for lowerbound_pair)")
     p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("bench", help="counter table over an n range")
-    p.add_argument("--engine", choices=list(ENGINES), required=True)
-    p.add_argument("--family", choices=list(BENCH_FAMILIES), required=True)
-    p.add_argument("--n-list", required=True, help="comma-separated sizes")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lazy-copy", action="store_true")
-    p.set_defaults(func=_cmd_bench)
     return ap
 
 

@@ -148,7 +148,7 @@ class OnlineValidator(WitnessTracker):
         candidate entry."""
         ops = [1 + len(s) for s in self._stored]
         return {
-            "total_ops": sum(ops),
             "max_delay_ops": max(ops, default=0),
+            "total_ops": sum(ops),
             "memory_bits": 64 * (3 * len(ops) + sum(ops)),
         }

@@ -349,12 +349,12 @@ class SuccinctValidator(WitnessTracker):
         return {
             "memory_bits": per_position + used_blocks + scheduler + 4 * nm.bit_length(),
             "memory_bits_allocated": per_position + allocated_blocks,
+            "blocks_created": self._blocks_created,
+            "chase_max": self._chase_max,
             "per_position": per_position,
             "blocks_used": used_blocks,
             "blocks_allocated_formula": allocated_blocks,
             "scheduler": scheduler,
-            "blocks_created": self._blocks_created,
-            "chase_max": self._chase_max,
             "window_fill_max": self._window_fill_max,
             "total_ops": n + (self.failed_at is not None),
         }

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from borderval import OnlineValidator, RealTimeValidator, SlopeValidator, SuccinctValidator, families
 from borderval.cli import EXIT_INVALID, EXIT_USAGE, EXIT_VALID, main
 
 
@@ -125,18 +126,13 @@ def test_gen_word_emit_conversion():
     assert code == EXIT_VALID and len(w_out.split()) == 10
 
 
-def test_bench_table_shape():
-    code, out, _ = run_cli(
-        ["bench", "--engine", "realtime", "--family", "unary", "--n-list", "100,200"]
+def test_gen_lowerbound_pair_unwritable_out(tmp_path):
+    prefix = str(tmp_path / "missing" / "pair")
+    code, out, err = run_cli(
+        ["gen", "--family", "lowerbound_pair", "--n", "20", "--seed", "1", "--out", prefix]
     )
-    assert code == EXIT_VALID
-    lines = out.strip().splitlines()
-    assert lines[0].split() == [
-        "engine", "family", "n", "verdict", "max_delay_ops",
-        "la_ops_max", "total_ops", "memory_bits", "wall_ms",
-    ]
-    assert len(lines) == 3
-    assert lines[1].split()[:4] == ["realtime", "unary", "100", "valid"]
+    assert code == EXIT_USAGE and err.startswith(f"error: cannot write {prefix}.a.txt: ")
+    assert out == ""
 
 
 def test_report_roundtrip():
@@ -154,7 +150,6 @@ def test_report_roundtrip():
 
 
 def _fib_streams():
-    from borderval import families
     from borderval.border_core import compute_pi, pi_to_pi_prime
 
     pi = compute_pi(families.fibonacci_word(3001))
@@ -196,8 +191,6 @@ def test_validate_g_with_empty_word(stream):
 
 def test_validate_g_instrument_counts_the_suffix_index():
     # this stream reaches the suffix index, so its ops are part of total_ops
-    from borderval import families
-
     values = families.random_valid_pi_prime(2000, 11)
     totals = {}
     for kind, stream in (("pi_prime", values), ("g", [0] + [v + 1 for v in values])):
@@ -210,13 +203,33 @@ def test_validate_g_instrument_counts_the_suffix_index():
     assert totals["g"] == totals["pi_prime"] != []
 
 
-@pytest.mark.parametrize("n_list", ["a", "0", "-3", "1,,2"])
-def test_bench_rejects_bad_n_list(n_list):
-    code, out, err = run_cli(
-        ["bench", "--engine", "basic", "--family", "unary", "--n-list", n_list]
+@pytest.mark.parametrize(
+    "kind,flags,make",
+    [
+        ("pi", ["--engine", "basic"], lambda n: OnlineValidator()),
+        ("pi", ["--engine", "realtime"], lambda n: RealTimeValidator(n_max=n)),
+        ("pi", ["--engine", "succinct"], lambda n: SuccinctValidator(n_max=n)),
+        ("pi", ["--engine", "succinct", "--lazy-copy"], lambda n: SuccinctValidator(n_max=n, lazy=True)),
+        ("pi_prime", ["--engine", "slope"], lambda n: SlopeValidator()),
+        ("g", ["--engine", "slope"], lambda n: SlopeValidator()),
+    ],
+    ids=["basic", "realtime", "succinct", "succinct_lazy", "slope", "g"],
+)
+def test_instrument_prints_every_stats_key(kind, flags, make):
+    # seed 11 reaches the slope engine's suffix index, so every slope key moves
+    values = families.random_valid_pi(2000, 11) if kind == "pi" else families.random_valid_pi_prime(2000, 11)
+    engine = make(len(values))
+    for v in values:
+        engine.push(v)
+    stream = [0] + [v + 1 for v in values] if kind == "g" else values
+    code, out, _ = run_cli(
+        ["validate", "--kind", kind, *flags, "--n-max", str(len(stream)), "--instrument", "-"],
+        " ".join(map(str, stream)),
     )
-    assert code == EXIT_USAGE and err.startswith("error: --n-list:")
-    assert out == ""
+    assert code == EXIT_VALID
+    lines = out.splitlines()
+    assert lines[3].startswith("verdict=valid") and lines[-1].startswith("wall_ms=")
+    assert lines[4:-1] == [f"{key}={value}" for key, value in engine.stats().items()]
 
 
 @pytest.mark.parametrize("sigma", ["0", "-2"])

@@ -1,9 +1,9 @@
-"""Golden reports: the full ``validate`` and ``bench`` output of every engine
+"""Golden reports: the full ``validate --instrument`` output of every engine
 configuration on fixed streams, pinned byte for byte except ``wall_ms``.
 
 The pinned texts live in ``golden_reports.json`` beside this file.  They
 cover the verdict line, failure positions, witness letters, the recovered
-border array and every ``--instrument`` field, so a change to an engine's
+border array and every ``stats()`` key, so a change to an engine's
 internals that alters any reported number shows here.  To rewrite them
 after a deliberate change of the report format:
 
@@ -64,15 +64,6 @@ def _streams():
     }
 
 
-BENCH = {  # name -> bench arguments
-    "basic": ["--engine", "basic", "--family", "random_valid_pi"],
-    "realtime": ["--engine", "realtime", "--family", "random_valid_pi"],
-    "succinct": ["--engine", "succinct", "--family", "fibonacci"],
-    "succinct_lazy": ["--engine", "succinct", "--lazy-copy", "--family", "fibonacci"],
-    "slope": ["--engine", "slope", "--family", "random_pi_prime"],
-}
-
-
 def _run(argv, stdin_text=""):
     old_in = sys.stdin
     sys.stdin = io.StringIO(stdin_text)
@@ -85,13 +76,9 @@ def _run(argv, stdin_text=""):
     return code, out.getvalue()
 
 
-def _without_wall(command: str, text: str) -> str:
-    """The report minus its ``wall_ms`` line; for ``bench``, the rows minus
-    their last column (the wall time)."""
-    lines = text.splitlines()
-    if command == "bench":
-        return "\n".join(lines[:1] + [line.rsplit(" ", 1)[0] for line in lines[1:]])
-    return "\n".join(line for line in lines if not line.startswith("wall_ms="))
+def _without_wall(text: str) -> str:
+    """The report minus its ``wall_ms`` line."""
+    return "\n".join(line for line in text.splitlines() if not line.startswith("wall_ms="))
 
 
 def _cases():
@@ -102,13 +89,11 @@ def _cases():
             yield f"validate/{config}/{stream}", argv, " ".join(map(str, values))
     g = [0] + [v + 1 for v in streams["pi_prime"]["random"]]
     yield "validate/g/random", ["validate", "--kind", "g", "--engine", "slope", "--instrument", "--emit-pi", "-"], " ".join(map(str, g))
-    for config, args in BENCH.items():
-        yield f"bench/{config}", ["bench", *args, "--seed", "3", "--n-list", "100,300"], ""
 
 
 def _report(argv, stdin_text):
     code, out = _run(argv, stdin_text)
-    return f"exit={code}\n{_without_wall(argv[0], out)}"
+    return f"exit={code}\n{_without_wall(out)}"
 
 
 CASES = list(_cases())
