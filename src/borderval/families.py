@@ -1,9 +1,9 @@
 """Deterministic input families for tests and benchmarks.
 
-Words (Fibonacci, Thue-Morse, random), border-array streams (unary, random
-valid), strict streams derived from them, and the adversarial read-once pairs
-whose two members agree on a long prefix yet only one is a valid border
-array.
+Words (Fibonacci, Thue-Morse, random, and w_k, whose strict array makes
+one long suffix-index query), border-array streams (unary, random valid),
+strict streams derived from them, and the adversarial read-once pairs whose
+two members agree on a long prefix yet only one is a valid border array.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ __all__ = [
     "fibonacci_word",
     "thue_morse_word",
     "random_word",
+    "long_query_word",
     "random_valid_pi",
     "random_valid_pi_prime",
     "lowerbound_pair",
@@ -45,6 +46,17 @@ def thue_morse_word(n: int) -> tuple[int, ...]:
 def random_word(n: int, sigma: int, seed: int) -> tuple[int, ...]:
     rng = random.Random(seed)
     return tuple(rng.randint(1, sigma) for _ in range(n))
+
+
+def long_query_word(k: int) -> tuple[int, ...]:
+    """w_k = (ab)^k a c b (ab)^k b with a, b, c = 1, 2, 3; length 4k + 4.
+
+    Its strict array makes the slope engine build its suffix index and ask
+    one value query with l = 2 and a True answer whose cost, 2k - 2 ops,
+    grows linearly in the length.  The near miss (ab)^k a c (ab)^k b never
+    reaches the index.
+    """
+    return (1, 2) * k + (1, 3, 2) + (1, 2) * k + (2,)
 
 
 def random_valid_pi(n: int, seed: int, unary_bias: float = 0.0) -> list[int]:

@@ -23,12 +23,14 @@ adjustment only lowers values, so the tested candidate c <= q and the
 equality A'[i..n-1] = A'[q..q+(n-1-i)] is inherited).  With l = q - c:
 positions before l are compared directly, position n directly, and the
 middle reduces to "is A'[i+l..n-1] a prefix of A'[i..n-1]", answered by the
-online suffix index in O(l)-bounded work.  Only this l > 0 branch reads the
-index, and on most streams it never runs, so the index is built on demand:
-the first such query appends the stored values A'[1..n-1] and later ones
-append what arrived since.  Ukkonen's construction is amortized linear in
-whatever batches the symbols arrive, so total tree work never exceeds that
-of appending on every push, and streams that never reach the index pay none.
+online suffix index: one op for a False answer, and one op plus one per
+compared symbol for a True one.  The compared length is not bounded by l:
+on the strict array of w_k = (ab)^k a c b (ab)^k b the one query has l = 2
+and compares 2k - 3 symbols.  Only this l > 0 branch reads the index, and
+on most streams it never runs, so the index is built on demand: the first
+such query appends the stored values A'[1..n-1] and later ones append what
+arrived since.  An append costs one op however the symbols are batched, and
+streams that never reach the index pay none.
 
 Committed values are fed to an embedded candidate-set validator, which
 supplies witness letters, the minimal alphabet, and the descending candidate

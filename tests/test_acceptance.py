@@ -22,6 +22,7 @@ from borderval.border_core import (
 )
 from borderval.families import (
     fibonacci_word,
+    long_query_word,
     lowerbound_pair,
     random_valid_pi,
     random_valid_pi_prime,
@@ -293,18 +294,25 @@ def test_criterion_8_memory_scaling():
 def test_criterion_9_pi_prime_time_bound():
     t0 = time.time()
     coeffs = {}
-    for n in (10**4, 10**5):
-        stream = random_valid_pi_prime(n, seed=11)
+    # w_2048 (n = 8196) makes one suffix-index query whose length is about n/2
+    streams = {
+        "1e4": random_valid_pi_prime(10**4, seed=11),
+        "1e5": random_valid_pi_prime(10**5, seed=11),
+        "w_2048": pi_to_pi_prime(compute_pi(long_query_word(2048))),
+    }
+    for name, stream in streams.items():
+        n = len(stream)
         v = SlopeValidator()
         for x in stream:
             assert v.push(x).valid
         stats = v.stats()
         total = stats["total_ops"] + stats["embedded_ops"]
-        coeffs[n] = total / (n * math.log2(n))
-        assert coeffs[n] <= C9_OPS_COEFF, (n, coeffs[n])
+        coeffs[name] = total / (n * math.log2(n))
+        assert coeffs[name] <= C9_OPS_COEFF, (name, coeffs[name])
         assert stats["dominance_ops"] <= 2 * n
     _report(9, "pi-prime time bound",
-            f"ops/(n log2 n) = {coeffs[10**4]:.2f} @1e4, {coeffs[10**5]:.2f} @1e5 "
+            f"ops/(n log2 n) = {coeffs['1e4']:.2f} @1e4, {coeffs['1e5']:.2f} @1e5, "
+            f"{coeffs['w_2048']:.2f} on w_2048 "
             f"(budget {C9_OPS_COEFF}); dominance ops within 2n ({time.time() - t0:.0f}s)")
 
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borderval.border_core import compute_pi, pi_to_pi_prime
-from borderval.families import fibonacci_word, random_valid_pi, random_valid_pi_prime, random_word
+from borderval.families import fibonacci_word, long_query_word, random_valid_pi, random_valid_pi_prime, random_word
 from borderval.oracle import enumerate_pi_prime_prefix_witnesses, iter_canonical_pi
 from borderval.pi_online import OnlineValidator, PushAfterFailure
 from borderval.pi_prime_online import SlopeValidator, validate_g_stream
@@ -198,6 +198,24 @@ def test_index_caught_up_on_demand(seed):
             mutated = base[: p - 1] + [x] + base[p:]
             queried += _push_counting_index(mutated).stats()["query_ops_max"] > 0
     assert queried > 0
+
+
+@pytest.mark.parametrize("k", (3, 8, 32, 512))
+def test_long_query_word_reaches_the_index(k):
+    word = long_query_word(k)
+    pi = compute_pi(word)
+    v = SlopeValidator(debug=True)
+    assert drive(v, pi_to_pi_prime(pi)) is None
+    stats = v.stats()
+    assert stats["indexed"] > 0
+    # one query with l = 2 and a True answer: one op plus 2k - 3 compared symbols
+    assert stats["query_ops_max"] == 2 * k - 2
+    assert v.recovered_pi()[: len(word)] == pi
+
+    near_miss = (1, 2) * k + (1, 3) + (1, 2) * k + (2,)
+    v = SlopeValidator(debug=True)
+    assert drive(v, pi_to_pi_prime(compute_pi(near_miss))) is None
+    assert v.stats()["indexed"] == 0
 
 
 # -- property test: recovery round trip and the g convention -----------------------

@@ -69,9 +69,26 @@ def test_query_cost_counter():
         p = rng.randint(1, m)
         l = rng.randint(0, min(40, m - p + 1))
         idx.is_suffix_prefix_of_suffix(p, l, m)
-    # false answers resolve in O(1) via the leaf shortcut; true answers on
-    # pending suffixes cost one comparison per symbol compared
+    # false answers resolve in O(1) when the fingerprints differ; true
+    # answers cost one comparison per symbol compared
     assert idx.stats()["query_ops_max"] <= m
+
+
+def test_every_false_answer_costs_one_op():
+    # (ab)^50 c (ab)^50 has long periodic runs on both sides of c, so many
+    # false answers agree on a long stretch before the first mismatch
+    idx = build([1, 2] * 50 + [3] + [1, 2] * 50)
+    m = idx.size
+    falses = 0
+    for p in range(1, m + 1):
+        for l in range(0, m - p + 2):
+            before = idx.stats()["total_ops"]
+            got = idx.is_suffix_prefix_of_suffix(p, l, m)
+            assert got == idx.naive_query(p, l, m), (p, l)
+            if not got:
+                falses += 1
+                assert idx.stats()["total_ops"] - before == 1, (p, l)
+    assert falses > 0
 
 
 def test_construction_ops_scale():
