@@ -86,7 +86,15 @@ class WitnessTracker:
 
 
 class OnlineValidator(WitnessTracker):
-    """Streaming border-array validator; linear memory, O(min(n, sigma)) delay."""
+    """Streaming border-array validator; linear memory, O(min(n, sigma)) delay.
+
+    ``push`` takes one value and returns its verdict.  ``push_run(first,
+    count)`` appends the run first, first+1, ..., first+count-1 in one call;
+    its precondition is that each value equals its father, i.e. ``first`` is
+    one more than the last accepted value.  Such a value is always valid, so
+    the run builds no verdicts and leaves the same state as pushing its
+    values one by one.
+    """
 
     def __init__(self, debug: bool = False):
         super().__init__()
@@ -137,6 +145,27 @@ class OnlineValidator(WitnessTracker):
                 stored,
             )
         return Verdict(True, max_alphabet=self.max_alphabet, letter=letter)
+
+    def push_run(self, first: int, count: int) -> None:
+        """Accept ``count`` values first, first+1, ..., each equal to its
+        father f, so each has letter ``letter[f-1]`` and path alphabet
+        ``alph[f-1]``, and ``max_alphabet`` stays as it is."""
+        if self.failed_at is not None:
+            raise PushAfterFailure(f"stream failed at {self.failed_at}")
+        if not self._a or first != self._a[-1] + 1:
+            raise ValueError(f"a run must start one above the last value, got {first}")
+        a, stored, letter, alph = self._a, self._stored, self._letter, self._alph
+        next_stored = self._next_stored
+        for f in range(first, first + count):
+            stored.append(next_stored(f))  # reads positions below f only
+            a.append(f)  # the stored tuple holds this same int object
+            letter.append(letter[f - 1])
+            alph.append(alph[f - 1])
+        if self.debug:
+            bound = self.max_alphabet + 1
+            assert all(len(s) <= bound for s in stored[len(stored) - count :]), (
+                "candidate set exceeded alphabet bound"
+            )
 
     # -- outputs ------------------------------------------------------------
 

@@ -40,9 +40,11 @@ is fed immediately: 0 is final, any later conflict rejects the stream.
 The engine is online, not real-time: the O(n log n) bound on counted work
 (acceptance criterion C9) holds for the stream in total, not per push.  A
 push that ends a slope commits the whole run to the embedded validator in
-that one call.  On the Fibonacci word's strict array (n = 39,737), the push
-at position 28,655 commits 10,946 values and takes 30-60 ms, while the
-median push takes 3-5 us (a 2-vCPU Xeon, cyclic GC off).
+that one call: the head through ``push`` unless it is already fed, the rest
+through one ``push_run``, since each of those values equals its father.  On
+the Fibonacci word's strict array (n = 39,737), the push at position 28,655
+commits 10,946 values and takes 8-19 ms, while the median push takes
+2-4 us (a 2-vCPU Xeon, cyclic GC off).
 """
 
 from __future__ import annotations
@@ -57,14 +59,13 @@ __all__ = ["SlopeValidator", "validate_g_stream"]
 
 class SlopeValidator:
     def __init__(self, debug: bool = False):
-        self._pp: list[int] = []  # strict values read, 0-based storage
-        self._committed: list[int] = []  # A[1..i-1]
+        self._pp: list[int] = [-1]  # A'[j] at index j; A'[0] = -1 is the empty prefix
         self._i = 1  # first position of the last slope
         self._cand = 0  # current A[i]; position 1 is pinned to 0
         self._cand_list: list[int] = [0]  # candidates at i, descending
         self._cand_idx = 0
         self._start_fed = True  # slope head already in the embedded validator
-        self._emb = OnlineValidator()
+        self._emb = OnlineValidator()  # holds A[1..i-1], and A[i] once fed
         self._emb.push(0)  # A[1] = 0 is forced and final
         self._sfx = OnlineSuffixIndex()
         self._dom: deque[int] = deque()
@@ -77,27 +78,23 @@ class SlopeValidator:
 
     @property
     def n(self) -> int:
-        return len(self._pp)
-
-    def _pp_at(self, j: int) -> int:
-        """A'[j] with the empty-prefix sentinel A'[0] = -1."""
-        return -1 if j == 0 else self._pp[j - 1]
+        return len(self._pp) - 1
 
     def _a_at(self, j: int) -> int:
-        return self._committed[j - 1] if j < self._i else self._cand + (j - self._i)
+        return self._emb._a[j - 1] if j < self._i else self._cand + (j - self._i)
 
     def recovered_pi(self) -> list[int]:
         """The maximal consistent border array, positions 1..n+1."""
         if self.failed_at is not None:
             raise StateInvalid("recovered array of a failed stream")
-        n = len(self._pp)
-        return [self._a_at(j) for j in range(1, n + 2)]
+        i, c = self._i, self._cand
+        return self._emb._a[: i - 1] + list(range(c, c + len(self._pp) + 1 - i))
 
     @property
     def max_alphabet(self) -> int:
         """Minimal alphabet of the prefix fed to the embedded validator; 0
         before the first push, where its forced A[1] = 0 would read 1."""
-        return self._emb.max_alphabet if self._pp else 0
+        return self._emb.max_alphabet if len(self._pp) > 1 else 0
 
     # -- helpers ---------------------------------------------------------------
 
@@ -113,8 +110,8 @@ class SlopeValidator:
         """Start a fresh slope at ``start``; candidate list from the embedded
         validator, all values below the slope-end successor, descending."""
         self._i = start
-        entry = self._committed[-1] + 1
-        cands = sorted((c for c in self._emb.candidates_for_next() if c < entry), reverse=True)
+        entry = self._emb._a[-1] + 1
+        cands = [c for c in reversed(self._emb.candidates_for_next()) if c < entry]
         self._cand_list = cands
         self._cand_idx = 0
         self._cand = cands[0]
@@ -138,16 +135,14 @@ class SlopeValidator:
 
     def _commit(self, j: int) -> None:
         """Freeze slope values on [i..j] and feed them to the embedded
-        validator; the next slope starts at j+1."""
-        ops = 0
-        for m in range(self._i, j + 1):
-            value = self._cand + (m - self._i)
-            self._committed.append(value)
-            if m == self._i and self._start_fed:
-                continue
-            self._feed_embedded(value)
-            ops += 1
-        self._ops_total += ops
+        validator: the head through ``push`` unless already fed, the rest,
+        each equal to its father, as one run.  The next slope starts at j+1."""
+        c = self._cand
+        if not self._start_fed:
+            self._feed_embedded(c)
+            self._ops_total += 1
+        self._emb.push_run(c + 1, j - self._i)
+        self._ops_total += j - self._i
         self._birth_slope(j + 1)
 
     # -- queries ---------------------------------------------------------------
@@ -160,7 +155,7 @@ class SlopeValidator:
         interesting calls happen inside the adjustment loop (shadow-checked
         against a linear scan in debug mode)."""
         head = self._height_head()
-        if head is not None and self._pp_at(head) >= self._a_at(head):
+        if head is not None and self._pp[head] >= self._a_at(head):
             return head
         return None
 
@@ -169,11 +164,8 @@ class SlopeValidator:
 
         Reference semantics, evaluated directly; the push path answers the
         same question through the anchored decomposition."""
-        i, c, n = self._i, self._cand, len(self._pp)
-        return all(self._pp_at(i + t) == self._pp_at(c + t) for t in range(n - i + 1))
-
-    def _dominates(self, jp: int, j: int) -> bool:
-        return self._pp_at(jp) - self._pp_at(j) > jp - j
+        pp, i, c = self._pp, self._i, self._cand
+        return pp[i:] == pp[c : c + len(pp) - i]
 
     def _height_head(self) -> int | None:
         """Head of the dominance list within [i..n]; testing it alone decides
@@ -183,25 +175,26 @@ class SlopeValidator:
             self._dom_ops += 1
         head = self._dom[0] if self._dom else None
         if self.debug:
+            pp = self._pp
             lo = None
-            for j in range(self._i, len(self._pp) + 1):
-                if self._pp_at(j) >= self._a_at(j):
+            for j in range(self._i, len(pp)):
+                if pp[j] >= self._a_at(j):
                     lo = j
                     break
             got = None
-            if head is not None and self._pp_at(head) >= self._a_at(head):
+            if head is not None and pp[head] >= self._a_at(head):
                 got = head
             if (lo is None) != (got is None):
                 raise AssertionError(f"height query disagrees with scan: {lo} vs {got}")
             if lo is not None and got is not None:
                 # on equality the head must be the minimal conflict
-                if self._pp_at(got) == self._a_at(got) and lo != got:
+                if pp[got] == self._a_at(got) and lo != got:
                     raise AssertionError(f"height head {got} is not minimal ({lo})")
         return head
 
     def _value_query(self, c: int, n: int, q: int) -> bool:
         """A'[i..n] == A'[c..c+(n-i)], decomposed against the arrival anchor q."""
-        i = self._i
+        pp, i = self._pp, self._i
         if i > n:
             return True
         ops = 2
@@ -212,24 +205,24 @@ class SlopeValidator:
         if l >= length:
             for t in range(length + 1):
                 ops += 1
-                if self._pp_at(i + t) != self._pp_at(c + t):
+                if pp[i + t] != pp[c + t]:
                     result = False
                     break
         else:
             for t in range(l):
                 ops += 1
-                if self._pp_at(i + t) != self._pp_at(c + t):
+                if pp[i + t] != pp[c + t]:
                     result = False
                     break
-            if result and self._pp_at(n) != self._pp_at(c + length):
+            if result and pp[n] != pp[c + length]:
                 result = False
             if result and l > 0:
                 sfx = self._sfx
-                for value in self._pp[sfx.size : n - 1]:  # catch up from the stored stream
+                for value in pp[sfx.size + 1 : n]:  # catch up from the stored stream
                     sfx.append(value)
                 result = sfx.is_suffix_prefix_of_suffix(i, l, n - 1)
         if self.debug:
-            naive = all(self._pp_at(i + t) == self._pp_at(c + t) for t in range(length + 1))
+            naive = pp[i : n + 1] == pp[c : c + length + 1]
             if naive != result:
                 raise AssertionError(
                     f"value query decomposition wrong: i={i} c={c} n={n} q={q}"
@@ -242,20 +235,22 @@ class SlopeValidator:
     def push(self, a_prime: int) -> Verdict:
         if self.failed_at is not None:
             raise PushAfterFailure(f"stream failed at {self.failed_at}")
+        pp = self._pp
         if a_prime < -1:
-            return self._fail(len(self._pp) + 1)
-        self._pp.append(a_prime)
-        n = len(self._pp)
+            return self._fail(len(pp))
+        pp.append(a_prime)
+        n = len(pp) - 1
         self._ops_total += 1
 
         if a_prime > self._a_at(n):
             return self._fail(n)
 
         # dominance list: drop newly dominated tail entries, then insert n
-        while self._dom and self._dominates(n, self._dom[-1]):
-            self._dom.pop()
+        dom = self._dom
+        while dom and a_prime - pp[dom[-1]] > n - dom[-1]:
+            dom.pop()
             self._dom_ops += 1
-        self._dom.append(n)
+        dom.append(n)
         self._dom_ops += 1
 
         # arrival anchor: value the start-of-arrival slope assigns to the
@@ -264,17 +259,13 @@ class SlopeValidator:
 
         while True:
             head = self._height_head()
-            if head is not None and self._pp_at(head) >= self._a_at(head):
-                if self._pp_at(head) > self._a_at(head):
+            excess = -1 if head is None else pp[head] - self._a_at(head)
+            if excess >= 0:
+                if excess > 0:
                     return self._fail(n)
-                j = head
-                ok = True
-                for t in range(j - self._i):
-                    if self._pp_at(self._i + t) != self._pp_at(self._cand + t):
-                        ok = False
-                        break
-                self._ops_total += j - self._i
-                if not ok:
+                j, i, c = head, self._i, self._cand
+                self._ops_total += j - i
+                if pp[i:j] != pp[c : c + j - i]:
                     return self._fail(n)
                 self._commit(j)
                 continue  # the fresh slope may end immediately: height first

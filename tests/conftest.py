@@ -25,6 +25,11 @@ def drive(validator, stream):
     return None
 
 
+def validator_state(v):
+    """Everything an OnlineValidator reports about its accepted stream."""
+    return v.witness(), v.max_alphabet, v.candidates_for_next(), v.stats()
+
+
 @pytest.fixture
 def fig_word():
     from borderval.border_core import text_to_word

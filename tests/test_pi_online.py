@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borderval.border_core import compute_pi
+from borderval.families import random_valid_pi
 from borderval.oracle import enumerate_valid_pi, min_alphabet_bruteforce
 from borderval.pi_online import OnlineValidator, PushAfterFailure, StateInvalid
 
-from conftest import drive, local_streams
+from conftest import drive, local_streams, validator_state
 
 FIG_PI = [0, 1, 0, 1, 2, 3, 4, 5, 2, 3, 4, 5, 0]
 
@@ -113,3 +116,43 @@ def test_candidate_sets_follow_inheritance():
             r = v.push(a)
             if not r.valid:
                 assert a not in before
+
+
+# -- the run commit ------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=10**6),
+    bias=st.sampled_from([0.0, 0.5, 0.9]),
+    run=st.integers(min_value=0, max_value=400),
+)
+def test_push_run_matches_single_pushes(n, seed, bias, run):
+    prefix = random_valid_pi(n, seed, unary_bias=bias)
+    first = prefix[-1] + 1
+    one_by_one = OnlineValidator(debug=True)
+    assert drive(one_by_one, prefix + list(range(first, first + run))) is None
+    bulk = OnlineValidator(debug=True)
+    assert drive(bulk, prefix) is None
+    bulk.push_run(first, run)
+    assert validator_state(bulk) == validator_state(one_by_one)
+    # later pushes and runs continue from the same state
+    assert bulk.push(0) == one_by_one.push(0)
+    bulk.push_run(1, 5)
+    assert drive(one_by_one, [1, 2, 3, 4, 5]) is None
+    assert validator_state(bulk) == validator_state(one_by_one)
+
+
+def test_push_run_preconditions():
+    v = OnlineValidator()
+    with pytest.raises(ValueError):
+        v.push_run(1, 2)  # nothing pushed yet: position 1 has no father
+    v.push(0)
+    with pytest.raises(ValueError):
+        v.push_run(2, 1)  # the next father is 1
+    v.push_run(1, 3)
+    assert v.witness() == (1, 1, 1, 1)
+    assert not v.push(5).valid
+    with pytest.raises(PushAfterFailure):
+        v.push_run(4, 1)

@@ -8,7 +8,7 @@ from borderval.oracle import enumerate_pi_prime_prefix_witnesses, iter_canonical
 from borderval.pi_online import OnlineValidator, PushAfterFailure
 from borderval.pi_prime_online import SlopeValidator, validate_g_stream
 
-from conftest import drive
+from conftest import drive, validator_state
 
 FIG_PI = [0, 1, 0, 1, 2, 3, 4, 5, 2, 3, 4, 5, 0]
 FIG_PP = [-1, 1, -1, -1, 1, -1, -1, 5, 1, -1, -1, 5, 0]
@@ -104,10 +104,50 @@ def test_committed_prefix_never_changes():
     snapshots = []
     for x in stream:
         assert v.push(x).valid
-        committed = list(v._committed)
+        committed = list(v._emb._a[: v._i - 1])
         snapshots.append(committed)
     for earlier, later in zip(snapshots, snapshots[1:]):
         assert later[: len(earlier)] == earlier
+
+
+def _check_embedded_after_every_push(stream):
+    """After each push the embedded validator holds the committed prefix of
+    the recovered array (and a slope head pinned to 0), in the state a fresh
+    validator fed those values one by one reaches."""
+    v = SlopeValidator()
+    fed: list[int] = []
+    reference = OnlineValidator()
+    for x in stream:
+        assert v.push(x).valid
+        rec = v.recovered_pi()
+        m = v._emb.n
+        assert m == v._i - 1 or (m == v._i and rec[m - 1] == 0)
+        assert rec[: len(fed)] == fed  # committed values never change
+        assert drive(reference, rec[len(fed) : m]) is None
+        fed = rec[:m]
+        assert validator_state(v._emb) == validator_state(reference)
+    return v
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=10**6),
+    bias=st.sampled_from([0.0, 0.7]),
+)
+def test_embedded_state_matches_single_pushes(n, seed, bias):
+    _check_embedded_after_every_push(random_valid_pi_prime(n, seed, unary_bias=bias))
+
+
+def test_embedded_state_on_fibonacci():
+    pi = compute_pi(fibonacci_word(1201))
+    v = _check_embedded_after_every_push(pi_to_pi_prime(pi)[:1200])
+    assert v._emb.n > 900  # long slope runs were committed
+
+
+@pytest.mark.parametrize("k", (3, 32))
+def test_embedded_state_on_long_query_word(k):
+    _check_embedded_after_every_push(pi_to_pi_prime(compute_pi(long_query_word(k))))
 
 
 def test_dominance_budget():
