@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 from . import families
 from .border_core import compute_pi, pi_to_pi_prime, text_to_word
-from .pi_online import OnlineValidator, Verdict
+from .pi_online import OnlineValidator
 from .pi_prime_online import SlopeValidator, validate_g_stream
 from .pi_realtime import RealTimeValidator
 from .pi_succinct import SuccinctValidator
@@ -108,16 +108,6 @@ def _engine(name: str, kind: str) -> _Engine:
     return spec
 
 
-def _push_all(engine, values) -> Verdict:
-    """Push until the first rejection; the last verdict (valid when empty)."""
-    verdict = Verdict(True, max_alphabet=0)
-    for v in values:
-        verdict = engine.push(v)
-        if not verdict.valid:
-            break
-    return verdict
-
-
 def _cmd_validate(args) -> int:
     spec = _engine(args.engine, args.kind)
     if args.n_max < 1:
@@ -131,7 +121,7 @@ def _cmd_validate(args) -> int:
         verdict, engine = validate_g_stream(values)
     else:
         engine = spec.make(args.n_max, args.lazy_copy)
-        verdict = _push_all(engine, values)
+        verdict = engine.push_many(values)
     wall = time.perf_counter() - t0
 
     lines = ["format=1", f"kind={args.kind}", f"engine={args.engine}"]
@@ -175,7 +165,7 @@ def _cmd_gen(args) -> int:
             except OSError as exc:
                 raise CliError(f"cannot write {path}: {exc}") from exc
         # declare the valid member by actually validating, not by construction
-        ok_a = _push_all(OnlineValidator(), valid).valid
+        ok_a = OnlineValidator().push_many(valid).valid
         print(f"format=1\nfamily=lowerbound_pair n={n} seed={seed}")
         print(f"valid_member={'a' if ok_a else 'b'}")
         print(f"invalid_position={pos}")

@@ -12,11 +12,26 @@ and a pushed value a is accepted iff a == 0 or a is in stored[p].  The set
 inherited at p is stored unconditionally, also when a == 0; storing an empty
 set at fresh-letter positions (as a literal reading of the recurrence would
 do) rejects valid arrays, e.g. [0, 0, 1, 1] with witness "abaa".
+
+Every engine in the package (this one, ``RealTimeValidator``,
+``SuccinctValidator`` and ``SlopeValidator``) speaks one protocol:
+
+* ``push_many(values)`` pushes the values in order and stops at the first
+  rejection.  It returns that rejection's ``Verdict``, or one valid
+  ``Verdict`` for the whole call, carrying the current ``max_alphabet`` and
+  the last pushed value's witness letter (``None`` for an empty call and
+  for the strict engine, which assigns no letters).  No per-value
+  ``Verdict`` is built.
+* ``push(a)`` is ``push_many((a,))``: the same code path, one value.
+* Either raises ``PushAfterFailure`` once the stream has failed.
+
+``OnlineValidator.push_run(first, count)`` is the strict engine's bulk
+commit: a run of values each equal to its father, accepted without checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["Verdict", "PushAfterFailure", "StateInvalid", "WitnessTracker", "OnlineValidator"]
 
@@ -29,9 +44,10 @@ class StateInvalid(RuntimeError):
     """Witness or report requested from a failed validator."""
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a single push: valid-so-far or invalid at a 1-based position."""
+class Verdict(NamedTuple):
+    """Outcome of a push: valid-so-far or invalid at a 1-based position.
+
+    A tuple, so its truth value is defined here: it is ``valid``."""
 
     valid: bool
     position: int | None = None  # set when invalid
@@ -88,12 +104,12 @@ class WitnessTracker:
 class OnlineValidator(WitnessTracker):
     """Streaming border-array validator; linear memory, O(min(n, sigma)) delay.
 
-    ``push`` takes one value and returns its verdict.  ``push_run(first,
-    count)`` appends the run first, first+1, ..., first+count-1 in one call;
-    its precondition is that each value equals its father, i.e. ``first`` is
-    one more than the last accepted value.  Such a value is always valid, so
-    the run builds no verdicts and leaves the same state as pushing its
-    values one by one.
+    ``push_many`` and ``push`` follow the engine protocol of this module's
+    docstring.  ``push_run(first, count)`` appends the run first, first+1,
+    ..., first+count-1 in one call; its precondition is that each value
+    equals its father, i.e. ``first`` is one more than the last accepted
+    value.  Such a value is always valid, so the run builds no verdicts and
+    leaves the same state as pushing its values one by one.
     """
 
     def __init__(self, debug: bool = False):
@@ -112,39 +128,47 @@ class OnlineValidator(WitnessTracker):
 
     def _next_stored(self, f: int) -> tuple[int, ...]:
         """Stored candidate set (positive values only) for the next position,
-        whose father is f; empty at position 1 (f = 0)."""
+        whose father is f; empty at position 1 (f = 0).  Every entry of
+        stored[f] is at most f's own father, so below f, and f is appended
+        last: the tuple stays sorted."""
         if not f:
             return ()
         base = self._stored[f - 1]
         af = self._a[f - 1]
         if af > 0:
-            merged = tuple(v for v in base if v != af and v < f) + (f,)
-        else:
-            merged = tuple(v for v in base if v < f) + (f,)
-        return merged
+            return tuple(v for v in base if v != af) + (f,)
+        return base + (f,)
 
     def push(self, a: int) -> Verdict:
+        return self.push_many((a,))
+
+    def push_many(self, values) -> Verdict:
         if self.failed_at is not None:
             raise PushAfterFailure(f"stream failed at {self.failed_at}")
-        p = len(self._a) + 1
-        f = self._a[-1] + 1 if self._a else 0
-        if a < 0 or a > f:
-            return self._fail(p)
-        stored = self._next_stored(f)
-        if a and a not in stored:
-            return self._fail(p)
-        letter, alph = self._next_letter(a, f)
-        self._a.append(a)
-        self._stored.append(stored)
-        self._letter.append(letter)
-        self._alph.append(alph)
-        if self.debug:
-            assert len(stored) <= self.max_alphabet + 1, (
-                "candidate set exceeded alphabet bound",
-                p,
-                stored,
-            )
-        return Verdict(True, max_alphabet=self.max_alphabet, letter=letter)
+        a_list, stored_list, letters, alphs = self._a, self._stored, self._letter, self._alph
+        next_stored, next_letter = self._next_stored, self._next_letter
+        debug = self.debug
+        f = a_list[-1] + 1 if a_list else 0
+        letter = None
+        for a in values:
+            if a < 0 or a > f:
+                return self._fail(len(a_list) + 1)
+            stored = next_stored(f)
+            if a and a not in stored:
+                return self._fail(len(a_list) + 1)
+            letter, alph = next_letter(a, f)
+            a_list.append(a)
+            stored_list.append(stored)
+            letters.append(letter)
+            alphs.append(alph)
+            if debug:
+                assert len(stored) <= self.max_alphabet + 1, (
+                    "candidate set exceeded alphabet bound",
+                    len(a_list),
+                    stored,
+                )
+            f = a + 1
+        return Verdict(True, None, self.max_alphabet, letter)
 
     def push_run(self, first: int, count: int) -> None:
         """Accept ``count`` values first, first+1, ..., each equal to its

@@ -59,62 +59,72 @@ class RealTimeValidator(WitnessTracker):
         self._la_ops_push_max = 0
 
     def push(self, a: int) -> Verdict:
+        return self.push_many((a,))
+
+    def push_many(self, values) -> Verdict:
         if self.failed_at is not None:
             raise PushAfterFailure(f"stream failed at {self.failed_at}")
-        ops = 1
-        la_start = self._la.ops
-        p = len(self._a) + 1
-        f = self._a[-1] + 1 if self._a else 0
-        if a < 0 or a > f:
-            return self._fail(p)
-        # the leaf stays when a later check rejects: the validator is dead then
-        self._la.add_leaf(f)
-        if p == 1:
-            d_p = dp_p = 1
-            bits = 0
-        else:
-            d_p = self._d[f - 1] + 1
-            # inherited candidate vector: clear the father's own value, add the father
-            bits = self._bits[f - 1]
-            af = self._a[f - 1]
-            if af > 0:
-                bits &= ~(1 << self._dp[af - 1])
-            bits |= 1 << self._dp[f - 1]
-            ops += 4
+        a_list, d_list, dp_list, bits_list = self._a, self._d, self._dp, self._bits
+        letters, alphs = self._letter, self._alph
+        la = self._la
+        add_leaf, la_query, parent = la.add_leaf, la.la, la.parent
+        next_letter = self._next_letter
+        width, debug = self._width, self.debug
+        p = len(a_list)
+        f = a_list[-1] + 1 if a_list else 0
+        letter = None
+        for a in values:
+            p += 1
+            if a < 0 or a > f:
+                return self._fail(p)
+            ops = 1
+            la_start = la.ops
+            # the leaf stays when a later check rejects: the validator is dead then
+            add_leaf(f)
+            if p == 1:
+                d_p = dp_p = 1
+                bits = 0
+            else:
+                d_p = d_list[f - 1] + 1
+                # inherited candidate vector: clear the father's own value, add the father
+                bits = bits_list[f - 1]
+                af = a_list[f - 1]
+                if af > 0:
+                    bits &= ~(1 << dp_list[af - 1])
+                bits |= 1 << dp_list[f - 1]
+                ops += 4
 
-            if 0 < a < f:
-                delta = d_p - self._d[a - 1] - 1
-                ops += 3
-                if delta < 1:
-                    return self._fail(p)
-                j = self._la.la(p, delta)
-                if self.debug:
-                    assert j == self._la.naive_la(p, delta), "level-ancestor mismatch"
-                if self._la.parent(j) != a:
-                    return self._fail(p)
-                if self._dp[j - 1] == self._dp[a - 1]:
-                    return self._fail(p)
-                if not bits & (1 << self._dp[a - 1]):
-                    return self._fail(p)
+                if 0 < a < f:
+                    delta = d_p - d_list[a - 1] - 1
+                    ops += 3
+                    if delta < 1:
+                        return self._fail(p)
+                    j = la_query(p, delta)
+                    if debug:
+                        assert j == la.naive_la(p, delta), "level-ancestor mismatch"
+                    dp_a = dp_list[a - 1]
+                    if parent(j) != a or dp_list[j - 1] == dp_a or not bits & (1 << dp_a):
+                        return self._fail(p)
 
-            dp_p = self._dp[f - 1] + (0 if a == f else 1)
-            if dp_p >= self._width:
-                raise AssertionError(f"d' {dp_p} exceeds declared width {self._width}")
+                dp_p = dp_list[f - 1] + (0 if a == f else 1)
+                if dp_p >= width:
+                    raise AssertionError(f"d' {dp_p} exceeds declared width {width}")
 
-        letter, alph = self._next_letter(a, f)
-        self._a.append(a)
-        self._d.append(d_p)
-        self._dp.append(dp_p)
-        self._bits.append(bits)
-        self._letter.append(letter)
-        self._alph.append(alph)
-        la_ops = self._la.ops - la_start
-        self._ops_total += ops + la_ops
-        if ops > self._ops_push_max:
-            self._ops_push_max = ops
-        if la_ops > self._la_ops_push_max:
-            self._la_ops_push_max = la_ops
-        return Verdict(True, max_alphabet=self.max_alphabet, letter=letter)
+            letter, alph = next_letter(a, f)
+            a_list.append(a)
+            d_list.append(d_p)
+            dp_list.append(dp_p)
+            bits_list.append(bits)
+            letters.append(letter)
+            alphs.append(alph)
+            la_ops = la.ops - la_start
+            self._ops_total += ops + la_ops
+            if ops > self._ops_push_max:
+                self._ops_push_max = ops
+            if la_ops > self._la_ops_push_max:
+                self._la_ops_push_max = la_ops
+            f = a + 1
+        return Verdict(True, None, self.max_alphabet, letter)
 
     def stats(self) -> dict[str, int]:
         """Core ops per push (``max_delay_ops``, the constant-delay claim)

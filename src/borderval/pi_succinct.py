@@ -285,40 +285,51 @@ class SuccinctValidator(WitnessTracker):
     # -- the push ------------------------------------------------------------------
 
     def push(self, a: int) -> Verdict:
+        return self.push_many((a,))
+
+    def push_many(self, values) -> Verdict:
         if self.failed_at is not None:
             raise PushAfterFailure(f"stream failed at {self.failed_at}")
-        x = len(self._letter) + 1
-        f = self._prev_a + 1
-        if a < 0 or a > f:
-            return self._fail(x)
-
-        if a == 0:
-            kx, sf = 0, f
-        elif a < f:
-            idx = self._chain_find(f, a)
-            if not idx:
+        b_list, kx_list, ord_list = self._b, self._kx, self._ord
+        letters, alphs = self._letter, self._alph
+        chain_find, sf_value, ensure_block = self._chain_find, self._sf_value, self._ensure_block
+        next_letter = self._next_letter
+        tick = self._scheduler_tick if self.lazy else None
+        x = len(letters)
+        letter = None
+        for a in values:
+            x += 1
+            f = self._prev_a + 1
+            if a < 0 or a > f:
                 return self._fail(x)
-            kx, sf = 1 + idx, f
-        else:  # a == f: the slope inherits the removal record and strict father
-            kx, sf = self._kx[f - 1], self._sf_value(f)
 
-        if sf > 0:
-            ordinal = self._ensure_block(sf, x)
-            self._b.append(sf.bit_length())
-            self._ord.append(ordinal)
-        else:
-            self._b.append(0)
-            self._ord.append(0)
-        self._kx.append(kx)
+            if a == 0:
+                kx, sf = 0, f
+            elif a < f:
+                idx = chain_find(f, a)
+                if not idx:
+                    return self._fail(x)
+                kx, sf = 1 + idx, f
+            else:  # a == f: the slope inherits the removal record and strict father
+                kx, sf = kx_list[f - 1], sf_value(f)
 
-        letter, alph = self._next_letter(a, f)
-        self._letter.append(letter)
-        self._alph.append(alph)
-        self._prev_a = a
+            if sf > 0:
+                ordinal = ensure_block(sf, x)
+                b_list.append(sf.bit_length())
+                ord_list.append(ordinal)
+            else:
+                b_list.append(0)
+                ord_list.append(0)
+            kx_list.append(kx)
 
-        if self.lazy:
-            self._scheduler_tick(x)
-        return Verdict(True, max_alphabet=self.max_alphabet, letter=letter)
+            letter, alph = next_letter(a, f)
+            letters.append(letter)
+            alphs.append(alph)
+            self._prev_a = a
+
+            if tick:
+                tick(x)
+        return Verdict(True, None, self.max_alphabet, letter)
 
     # -- counters and memory accounting -------------------------------------------
 

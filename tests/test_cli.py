@@ -1,8 +1,11 @@
 import io
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import borderval
 from borderval import OnlineValidator, RealTimeValidator, SlopeValidator, SuccinctValidator, families
 from borderval.cli import EXIT_INVALID, EXIT_USAGE, EXIT_VALID, main
 
@@ -252,3 +255,14 @@ def test_gen_rejects_unary_bias_outside_unit_interval(bias):
     code, out, err = run_cli(["gen", "--family", "random_valid_pi", "--n", "5", "--unary-bias", bias])
     assert code == EXIT_USAGE and err == f"error: --unary-bias: must be within [0, 1], got {float(bias)}\n"
     assert out == ""
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # Verdict is a NamedTuple: a validate child never pays for importing
+    # dataclasses (and inspect behind it)
+    src = str(Path(borderval.__file__).resolve().parents[1])
+    probe = "import sys, borderval.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={"PYTHONPATH": src}, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "False\n"

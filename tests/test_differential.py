@@ -1,5 +1,7 @@
-"""Differential property test: every border-array engine gives the same
-verdict on the same stream, push by push.
+"""Differential property tests: every border-array engine gives the same
+verdict on the same stream, push by push; and on every engine one
+``push_many`` call, ``push_many`` over chunks and one ``push`` per value
+leave the same verdict, counters and witness or recovered array.
 
 Streams are valid border arrays of a few hundred values (sampled arrays,
 arrays of random words and of periodic words with a few letters changed),
@@ -8,14 +10,18 @@ and 8; a budget of 1 can miss a copy deadline, which is asserted and
 pinned in tests/test_pi_succinct.py.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borderval.border_core import compute_pi
 from borderval.families import random_valid_pi, random_word
-from borderval.pi_online import OnlineValidator
+from borderval.pi_online import OnlineValidator, PushAfterFailure, Verdict
+from borderval.pi_prime_online import SlopeValidator
 from borderval.pi_realtime import RealTimeValidator
 from borderval.pi_succinct import SuccinctValidator
+
+from test_pi_prime_online import mutated_pi_prime_streams
 
 ENGINES = {  # compared against OnlineValidator (basic)
     "realtime": lambda n: RealTimeValidator(n_max=n),
@@ -82,3 +88,81 @@ def test_engines_agree(stream):
             if isinstance(engine, SuccinctValidator):
                 engine.finish()  # drains lazy copies; a no-op when eager
             assert engine.witness() == basic.witness(), name
+
+
+# -- push_many against push ---------------------------------------------------------
+
+PUSH_MANY_ENGINES = {"basic": lambda n: OnlineValidator(), **ENGINES}
+
+
+def push_one_by_one(engine, stream):
+    for a in stream:
+        verdict = engine.push(a)
+        if not verdict.valid:
+            break
+    return verdict
+
+
+def push_in_chunks(engine, stream, cuts):
+    """One ``push_many`` call per chunk, up to the first rejecting chunk."""
+    bounds = [0, *cuts, len(stream)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        verdict = engine.push_many(stream[lo:hi])
+        if not verdict.valid:
+            break
+    return verdict
+
+
+def report(engine, verdict):
+    """Everything an engine reports once its stream ended or failed."""
+    if not verdict.valid:
+        result = None
+    elif isinstance(engine, SlopeValidator):
+        result = engine.recovered_pi()
+    else:
+        result = engine.witness()
+    return verdict, engine.failed_at, engine.stats(), result
+
+
+def check_push_many_matches_push(make, stream, cuts):
+    one_by_one = make()
+    expected = report(one_by_one, push_one_by_one(one_by_one, stream))
+    whole = make()
+    assert report(whole, whole.push_many(stream)) == expected
+    chunked = make()
+    assert report(chunked, push_in_chunks(chunked, stream, cuts)) == expected
+
+
+def chunk_cuts(data, stream):
+    cut = st.integers(min_value=1, max_value=len(stream) - 1)
+    return sorted(data.draw(st.lists(cut, max_size=8, unique=True)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mutated_streams(), st.data())
+def test_push_many_matches_push(stream, data):
+    cuts = chunk_cuts(data, stream)
+    for name, make in PUSH_MANY_ENGINES.items():
+        check_push_many_matches_push(lambda: make(len(stream)), stream, cuts)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mutated_pi_prime_streams(), st.data())
+def test_slope_push_many_matches_push(case, data):
+    stream, _ = case
+    check_push_many_matches_push(SlopeValidator, stream, chunk_cuts(data, stream))
+
+
+ALL_ENGINES = {**PUSH_MANY_ENGINES, "slope": lambda n: SlopeValidator()}
+
+
+@pytest.mark.parametrize("name", ALL_ENGINES)
+def test_push_many_contract(name):
+    make = ALL_ENGINES[name]
+    assert make(16).push_many([]) == Verdict(True, max_alphabet=0)
+    engine = make(16)
+    failed = engine.push_many([0, 5, 0])
+    assert not failed.valid and failed.position == engine.failed_at
+    for values in ([], [0]):
+        with pytest.raises(PushAfterFailure):
+            engine.push_many(values)

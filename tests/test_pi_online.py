@@ -3,9 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borderval.border_core import compute_pi
-from borderval.families import random_valid_pi
+from borderval.families import fibonacci_word, random_valid_pi
 from borderval.oracle import enumerate_valid_pi, min_alphabet_bruteforce
-from borderval.pi_online import OnlineValidator, PushAfterFailure, StateInvalid
+from borderval.pi_online import OnlineValidator, PushAfterFailure, StateInvalid, Verdict
 
 from conftest import drive, local_streams, validator_state
 
@@ -18,6 +18,11 @@ def test_start_state():
     first = v.push(0)
     assert first.valid and first.letter == 1
     assert v.push(0).letter == 2  # fresh letter at a second zero
+
+
+def test_verdict_truth_is_its_validity():
+    assert bool(Verdict(False, position=3)) is False
+    assert bool(Verdict(True)) is True
 
 
 def test_first_value_must_be_zero():
@@ -116,6 +121,27 @@ def test_candidate_sets_follow_inheritance():
             r = v.push(a)
             if not r.valid:
                 assert a not in before
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=1, max_value=600),
+    seed=st.integers(min_value=0, max_value=10**6),
+    source=st.sampled_from(["sampled", "biased", "fibonacci"]),
+)
+def test_stored_candidates_lie_below_their_position(n, seed, source):
+    # the set stored at position q holds q's candidates, each at most q's
+    # father A[q-1] + 1 <= q - 1; so no entry of a stored set needs
+    # filtering against the position that inherits it
+    if source == "fibonacci":
+        arr = compute_pi(fibonacci_word(n))
+    else:
+        arr = random_valid_pi(n, seed, unary_bias=0.7 if source == "biased" else 0.0)
+    v = OnlineValidator()
+    for q, a in enumerate(arr, start=1):
+        father = arr[q - 2] + 1 if q > 1 else 0
+        assert max(v.candidates_for_next()) <= father < q
+        assert v.push(a).valid
 
 
 # -- the run commit ------------------------------------------------------------------
