@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 from . import families
 from .border_core import compute_pi, pi_to_pi_prime, text_to_word
-from .pi_online import OnlineValidator
+from .pi_online import OnlineValidator, Verdict
 from .pi_prime_online import SlopeValidator, validate_g_stream
 from .pi_realtime import RealTimeValidator
 from .pi_succinct import SuccinctValidator
@@ -108,6 +108,19 @@ def _engine(name: str, kind: str) -> _Engine:
     return spec
 
 
+def _push_each(engine, values) -> Verdict:
+    """One ``push`` per value until the first rejection, so that a span or
+    profiler wrapping ``push`` sees every value; the last verdict (valid
+    when empty).  Verdict, position and every counter equal ``push_many``'s."""
+    verdict = Verdict(True)
+    push = engine.push
+    for v in values:
+        verdict = push(v)
+        if not verdict.valid:
+            break
+    return verdict
+
+
 def _cmd_validate(args) -> int:
     spec = _engine(args.engine, args.kind)
     if args.n_max < 1:
@@ -121,7 +134,7 @@ def _cmd_validate(args) -> int:
         verdict, engine = validate_g_stream(values)
     else:
         engine = spec.make(args.n_max, args.lazy_copy)
-        verdict = engine.push_many(values)
+        verdict = _push_each(engine, values) if args.instrument else engine.push_many(values)
     wall = time.perf_counter() - t0
 
     lines = ["format=1", f"kind={args.kind}", f"engine={args.engine}"]
@@ -223,7 +236,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=list(ENGINES), required=True)
     p.add_argument("--emit-pi", action="store_true", help="print the recovered border array")
     p.add_argument("--emit-witness", action="store_true", help="print a witness word")
-    p.add_argument("--instrument", action="store_true", help="print every stats() counter of the engine")
+    p.add_argument(
+        "--instrument",
+        action="store_true",
+        help="print every stats() counter of the engine; pi and pi_prime streams go through one push() per value",
+    )
     p.add_argument("--lazy-copy", action="store_true")
     p.add_argument("--n-max", type=int, default=2**32, help="longest stream accepted; sizes realtime and succinct")
     p.add_argument("input", help="array file or - for stdin")

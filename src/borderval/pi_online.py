@@ -45,17 +45,12 @@ class StateInvalid(RuntimeError):
 
 
 class Verdict(NamedTuple):
-    """Outcome of a push: valid-so-far or invalid at a 1-based position.
-
-    A tuple, so its truth value is defined here: it is ``valid``."""
+    """Outcome of a push: valid-so-far or invalid at a 1-based position."""
 
     valid: bool
     position: int | None = None  # set when invalid
     max_alphabet: int = 0
     letter: int | None = None  # witness letter assigned to this position
-
-    def __bool__(self) -> bool:
-        return self.valid
 
 
 class WitnessTracker:

@@ -235,6 +235,37 @@ def test_instrument_prints_every_stats_key(kind, flags, make):
     assert lines[4:-1] == [f"{key}={value}" for key, value in engine.stats().items()]
 
 
+@pytest.mark.parametrize(
+    "kind,flags,cls",
+    [
+        ("pi", ["--engine", "basic"], OnlineValidator),
+        ("pi", ["--engine", "realtime"], RealTimeValidator),
+        ("pi", ["--engine", "succinct"], SuccinctValidator),
+        ("pi", ["--engine", "succinct", "--lazy-copy"], SuccinctValidator),
+        ("pi_prime", ["--engine", "slope"], SlopeValidator),
+    ],
+    ids=["basic", "realtime", "succinct", "succinct_lazy", "slope"],
+)
+def test_instrument_pushes_one_value_at_a_time(kind, flags, cls, monkeypatch):
+    # a span wrapping push() must see every pushed value, and the verdict
+    # must be the one a plain run (one push_many call) reports
+    values = families.random_valid_pi(500, 11) if kind == "pi" else families.random_valid_pi_prime(500, 11)
+    broken = values[:300] + [values[299] + 2] + values[301:]
+    for stream, pushed, verdict in ((values, 500, "verdict=valid"), (broken, 301, "verdict=invalid@301")):
+        text = " ".join(map(str, stream))
+        argv = ["validate", "--kind", kind, *flags, "--n-max", "500"]
+        _, plain, _ = run_cli([*argv, "-"], text)
+        calls = []
+        push = cls.push
+        monkeypatch.setattr(cls, "push", lambda self, a: calls.append(a) or push(self, a))
+        code, each, _ = run_cli([*argv, "--instrument", "-"], text)
+        monkeypatch.undo()
+        assert code == (EXIT_VALID if pushed == 500 else EXIT_INVALID)
+        assert calls == stream[:pushed]
+        assert each.splitlines()[3].startswith(verdict)
+        assert each.splitlines()[:4] == plain.splitlines()[:4]
+
+
 @pytest.mark.parametrize("sigma", ["0", "-2"])
 def test_gen_rejects_non_positive_sigma(sigma):
     code, out, err = run_cli(["gen", "--family", "random_word", "--n", "5", "--sigma", sigma])

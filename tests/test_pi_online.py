@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from borderval.border_core import compute_pi
 from borderval.families import fibonacci_word, random_valid_pi
 from borderval.oracle import enumerate_valid_pi, min_alphabet_bruteforce
-from borderval.pi_online import OnlineValidator, PushAfterFailure, StateInvalid, Verdict
+from borderval.pi_online import OnlineValidator, PushAfterFailure, StateInvalid
 
 from conftest import drive, local_streams, validator_state
 
@@ -18,11 +18,6 @@ def test_start_state():
     first = v.push(0)
     assert first.valid and first.letter == 1
     assert v.push(0).letter == 2  # fresh letter at a second zero
-
-
-def test_verdict_truth_is_its_validity():
-    assert bool(Verdict(False, position=3)) is False
-    assert bool(Verdict(True)) is True
 
 
 def test_first_value_must_be_zero():
