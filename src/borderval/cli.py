@@ -50,14 +50,18 @@ def _read_text(path: str) -> str:
 
 
 def _parse_ints(text: str, path: str) -> list[int]:
-    out = []
+    try:
+        return list(map(int, text.split()))
+    except ValueError:
+        pass
+    # splitting line by line gives the same tokens: rescan to name the bad one's line
     for lineno, line in enumerate(text.splitlines(), start=1):
         for tok in line.split():
             try:
-                out.append(int(tok))
+                int(tok)
             except ValueError:
                 raise CliError(f"{path}:{lineno}: not an integer: {tok!r}") from None
-    return out
+    raise CliError(f"{path}: not an integer")
 
 
 def _parse_word(text: str, path: str, as_ints: bool):

@@ -25,8 +25,9 @@ Every engine in the package (this one, ``RealTimeValidator``,
 * ``push(a)`` is ``push_many((a,))``: the same code path, one value.
 * Either raises ``PushAfterFailure`` once the stream has failed.
 
-``OnlineValidator.push_run(first, count)`` is the strict engine's bulk
-commit: a run of values each equal to its father, accepted without checks.
+``OnlineValidator.push_slope(head, count, stored)`` is the strict engine's
+commit of one slope: its head, then a run of values each equal to its
+father, accepted without building verdicts.
 """
 
 from __future__ import annotations
@@ -100,11 +101,11 @@ class OnlineValidator(WitnessTracker):
     """Streaming border-array validator; linear memory, O(min(n, sigma)) delay.
 
     ``push_many`` and ``push`` follow the engine protocol of this module's
-    docstring.  ``push_run(first, count)`` appends the run first, first+1,
-    ..., first+count-1 in one call; its precondition is that each value
-    equals its father, i.e. ``first`` is one more than the last accepted
-    value.  Such a value is always valid, so the run builds no verdicts and
-    leaves the same state as pushing its values one by one.
+    docstring.  ``push_slope(head, count, stored)`` appends a slope head and
+    the run head+1, ..., head+count after it in one call.  The head is 0 or
+    in its stored set, and each run value equals its father, so every value
+    is valid: the call builds no verdicts and leaves the same state as
+    pushing its values one by one.
     """
 
     def __init__(self, debug: bool = False):
@@ -125,13 +126,15 @@ class OnlineValidator(WitnessTracker):
         """Stored candidate set (positive values only) for the next position,
         whose father is f; empty at position 1 (f = 0).  Every entry of
         stored[f] is at most f's own father, so below f, and f is appended
-        last: the tuple stays sorted."""
+        last: the tuple stays sorted.  An accepted A[f] > 0 is in stored[f]
+        (a run value ends its own set), so it is spliced out by index."""
         if not f:
             return ()
         base = self._stored[f - 1]
         af = self._a[f - 1]
         if af > 0:
-            return tuple(v for v in base if v != af) + (f,)
+            i = base.index(af)
+            return base[:i] + base[i + 1 :] + (f,)
         return base + (f,)
 
     def push(self, a: int) -> Verdict:
@@ -165,24 +168,39 @@ class OnlineValidator(WitnessTracker):
             f = a + 1
         return Verdict(True, None, self.max_alphabet, letter)
 
-    def push_run(self, first: int, count: int) -> None:
-        """Accept ``count`` values first, first+1, ..., each equal to its
+    def push_slope(self, head: int, count: int, stored: tuple[int, ...] | None = None) -> None:
+        """Accept a slope the strict engine committed: ``head`` at the next
+        position, with ``stored`` its stored set as ``_next_stored`` gives
+        it, then the ``count`` values head+1, head+2, ..., each equal to its
         father f, so each has letter ``letter[f-1]`` and path alphabet
-        ``alph[f-1]``, and ``max_alphabet`` stays as it is."""
+        ``alph[f-1]``.  Without ``stored`` the head is already the last
+        accepted value and only the run is appended."""
         if self.failed_at is not None:
             raise PushAfterFailure(f"stream failed at {self.failed_at}")
-        if not self._a or first != self._a[-1] + 1:
-            raise ValueError(f"a run must start one above the last value, got {first}")
-        a, stored, letter, alph = self._a, self._stored, self._letter, self._alph
+        a, stored_list, letter, alph = self._a, self._stored, self._letter, self._alph
+        if stored is None:
+            if not a or a[-1] != head:
+                raise ValueError(f"a run must start one above the last value, got {head + 1}")
+        else:
+            if head and head not in stored:
+                raise ValueError(f"slope head {head} is neither 0 nor in its stored set {stored}")
+            f = a[-1] + 1 if a else 0
+            if self.debug:
+                assert stored == self._next_stored(f), "stored set of another position"
+            head_letter, head_alph = self._next_letter(head, f)
+            a.append(head)
+            stored_list.append(stored)
+            letter.append(head_letter)
+            alph.append(head_alph)
         next_stored = self._next_stored
-        for f in range(first, first + count):
-            stored.append(next_stored(f))  # reads positions below f only
+        for f in range(head + 1, head + 1 + count):
+            stored_list.append(next_stored(f))  # reads positions below f only
             a.append(f)  # the stored tuple holds this same int object
             letter.append(letter[f - 1])
             alph.append(alph[f - 1])
         if self.debug:
             bound = self.max_alphabet + 1
-            assert all(len(s) <= bound for s in stored[len(stored) - count :]), (
+            assert all(len(s) <= bound for s in stored_list[len(stored_list) - count - 1 :]), (
                 "candidate set exceeded alphabet bound"
             )
 

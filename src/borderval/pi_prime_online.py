@@ -33,18 +33,20 @@ arrived since.  An append costs one op however the symbols are batched, and
 streams that never reach the index pay none.
 
 Committed values are fed to an embedded candidate-set validator, which
-supplies witness letters, the minimal alphabet, and the descending candidate
-list for each new slope head.  A fresh slope head whose candidate reaches 0
-is fed immediately: 0 is final, any later conflict rejects the stream.
+supplies witness letters and the minimal alphabet.  A new slope head's
+stored set is computed once, when the slope starts; its candidates are that
+tuple read backwards, then 0.  A head whose candidate reaches 0 is fed
+immediately: 0 is final, any later conflict rejects the stream.
 
 The engine is online, not real-time: the O(n log n) bound on counted work
 (acceptance criterion C9) holds for the stream in total, not per push.  A
-push that ends a slope commits the whole run to the embedded validator in
-that one call: the head through ``push`` unless it is already fed, the rest
-through one ``push_run``, since each of those values equals its father.  On
-the Fibonacci word's strict array (n = 39,737), the push at position 28,655
-commits 10,946 values and takes 11-15 ms, while the median push takes
-2.5-3.8 us (a shared 2-vCPU Xeon, cyclic GC off).
+push that ends a slope commits it to the embedded validator in one
+``push_slope`` call: the head with its stored set, unless it is already fed,
+and the run after it, each value of which equals its father.  On the
+Fibonacci word's strict array (n = 39,737), the push at position 28,655
+commits 10,946 values and takes 7-11 ms, while the median push takes
+2.7-3.5 us (a shared 2-vCPU Xeon, Python 3.11, cyclic GC off; five runs,
+each push timed on its own).
 """
 
 from __future__ import annotations
@@ -62,10 +64,11 @@ class SlopeValidator:
         self._pp: list[int] = [-1]  # A'[j] at index j; A'[0] = -1 is the empty prefix
         self._i = 1  # first position of the last slope
         self._cand = 0  # current A[i]; position 1 is pinned to 0
-        self._cand_list: list[int] = [0]  # candidates at i, descending
-        self._cand_idx = 0
-        self._start_fed = True  # slope head already in the embedded validator
-        self._emb = OnlineValidator()  # holds A[1..i-1], and A[i] once fed
+        # stored set of the slope head i; its candidates, descending, are
+        # _head_stored[_cand_idx] for _cand_idx = len - 2, ..., 0 and then 0
+        self._head_stored: tuple[int, ...] = ()
+        self._cand_idx = -1
+        self._emb = OnlineValidator(debug=debug)  # holds A[1..i-1], and A[i] once it is 0
         self._emb.push(0)  # A[1] = 0 is forced and final
         self._sfx = OnlineSuffixIndex()
         self._dom: deque[int] = deque()
@@ -80,9 +83,6 @@ class SlopeValidator:
     def n(self) -> int:
         return len(self._pp) - 1
 
-    def _a_at(self, j: int) -> int:
-        return self._emb._a[j - 1] if j < self._i else self._cand + (j - self._i)
-
     def recovered_pi(self) -> list[int]:
         """The maximal consistent border array, positions 1..n+1."""
         if self.failed_at is not None:
@@ -96,68 +96,21 @@ class SlopeValidator:
         before the first push, where its forced A[1] = 0 would read 1."""
         return self._emb.max_alphabet if len(self._pp) > 1 else 0
 
-    # -- helpers ---------------------------------------------------------------
-
     def _fail(self, pos: int) -> Verdict:
         self.failed_at = pos
         return Verdict(False, position=pos, max_alphabet=self._emb.max_alphabet)
-
-    def _feed_embedded(self, value: int) -> None:
-        verdict = self._emb.push(value)
-        assert verdict.valid, "committed prefix rejected by the embedded validator"
-
-    def _birth_slope(self, start: int) -> None:
-        """Start a fresh slope at ``start``; candidate list from the embedded
-        validator, all values below the slope-end successor, descending."""
-        self._i = start
-        entry = self._emb._a[-1] + 1
-        cands = [c for c in reversed(self._emb.candidates_for_next()) if c < entry]
-        self._cand_list = cands
-        self._cand_idx = 0
-        self._cand = cands[0]
-        self._start_fed = False
-        if self._cand == 0:
-            self._feed_embedded(0)
-            self._start_fed = True
-
-    def _step_candidate(self) -> bool:
-        """Move to the next smaller candidate; False when exhausted (below 0)."""
-        if self._cand == 0:
-            return False
-        self._cand_idx += 1
-        if self._cand_idx >= len(self._cand_list):
-            return False
-        self._cand = self._cand_list[self._cand_idx]
-        if self._cand == 0 and not self._start_fed:
-            self._feed_embedded(0)
-            self._start_fed = True
-        return True
-
-    def _commit(self, j: int) -> None:
-        """Freeze slope values on [i..j] and feed them to the embedded
-        validator: the head through ``push`` unless already fed, the rest,
-        each equal to its father, as one run.  The next slope starts at j+1."""
-        c = self._cand
-        if not self._start_fed:
-            self._feed_embedded(c)
-            self._ops_total += 1
-        self._emb.push_run(c + 1, j - self._i)
-        self._ops_total += j - self._i
-        self._birth_slope(j + 1)
 
     # -- queries ---------------------------------------------------------------
 
     def height_query(self) -> int | None:
         """Smallest j in [i..n] with A'[j] >= A[j], or None.
 
-        Answered from the dominance-list head alone; between pushes the
-        accepted state never has a conflict, so this returns None — the
-        interesting calls happen inside the adjustment loop (shadow-checked
-        against a linear scan in debug mode)."""
-        head = self._height_head()
-        if head is not None and self._pp[head] >= self._a_at(head):
-            return head
-        return None
+        Reference semantics, a linear scan; the push path answers the same
+        question from the dominance-list head alone.  Between pushes the
+        accepted state never has a conflict, so this returns None: the
+        interesting calls are the debug shadow checks inside the push."""
+        pp, i, c = self._pp, self._i, self._cand
+        return next((j for j in range(i, len(pp)) if pp[j] >= c + (j - i)), None)
 
     def value_query(self) -> bool:
         """Does A'[i..n] equal A'[A[i]..A[i]+(n-i)] (with A'[0] = -1)?
@@ -167,120 +120,129 @@ class SlopeValidator:
         pp, i, c = self._pp, self._i, self._cand
         return pp[i:] == pp[c : c + len(pp) - i]
 
-    def _height_head(self) -> int | None:
-        """Head of the dominance list within [i..n]; testing it alone decides
-        whether any j in [i..n] has A'[j] >= A[j]."""
-        while self._dom and self._dom[0] < self._i:
-            self._dom.popleft()
-            self._dom_ops += 1
-        head = self._dom[0] if self._dom else None
-        if self.debug:
-            pp = self._pp
-            lo = None
-            for j in range(self._i, len(pp)):
-                if pp[j] >= self._a_at(j):
-                    lo = j
-                    break
-            got = None
-            if head is not None and pp[head] >= self._a_at(head):
-                got = head
-            if (lo is None) != (got is None):
-                raise AssertionError(f"height query disagrees with scan: {lo} vs {got}")
-            if lo is not None and got is not None:
-                # on equality the head must be the minimal conflict
-                if pp[got] == self._a_at(got) and lo != got:
-                    raise AssertionError(f"height head {got} is not minimal ({lo})")
-        return head
-
-    def _value_query(self, c: int, n: int, q: int) -> bool:
-        """A'[i..n] == A'[c..c+(n-i)], decomposed against the arrival anchor q."""
-        pp, i = self._pp, self._i
-        if i > n:
-            return True
-        ops = 2
-        length = n - i
-        l = q - c
-        assert l >= 0, "candidate above the arrival-start value"
-        result = True
-        if l >= length:
-            for t in range(length + 1):
-                ops += 1
-                if pp[i + t] != pp[c + t]:
-                    result = False
-                    break
-        else:
-            for t in range(l):
-                ops += 1
-                if pp[i + t] != pp[c + t]:
-                    result = False
-                    break
-            if result and pp[n] != pp[c + length]:
-                result = False
-            if result and l > 0:
-                sfx = self._sfx
-                for value in pp[sfx.size + 1 : n]:  # catch up from the stored stream
-                    sfx.append(value)
-                result = sfx.is_suffix_prefix_of_suffix(i, l, n - 1)
-        if self.debug:
-            naive = pp[i : n + 1] == pp[c : c + length + 1]
-            if naive != result:
-                raise AssertionError(
-                    f"value query decomposition wrong: i={i} c={c} n={n} q={q}"
-                )
-        self._ops_total += ops
-        return result
-
     # -- the push ---------------------------------------------------------------
 
     def push(self, a_prime: int) -> Verdict:
         return self.push_many((a_prime,))
 
     def push_many(self, values) -> Verdict:
+        """One loop for every push.  The slope state lives in locals and is
+        written back once, when the call returns or fails; with ``debug``
+        the public queries shadow-check each height and value answer."""
         if self.failed_at is not None:
             raise PushAfterFailure(f"stream failed at {self.failed_at}")
-        pp, dom = self._pp, self._dom
-        a_at, height_head = self._a_at, self._height_head
-        value_query, step_candidate, commit = self._value_query, self._step_candidate, self._commit
-        for a_prime in values:
-            if a_prime < -1:
-                return self._fail(len(pp))
-            pp.append(a_prime)
-            n = len(pp) - 1
-            self._ops_total += 1
-
-            if a_prime > a_at(n):
-                return self._fail(n)
-
-            # dominance list: drop newly dominated tail entries, then insert n
-            while dom and a_prime - pp[dom[-1]] > n - dom[-1]:
-                dom.pop()
-                self._dom_ops += 1
-            dom.append(n)
-            self._dom_ops += 1
-
-            # arrival anchor: value the start-of-arrival slope assigns to the
-            # current slope head (adjustments only ever go below it)
-            anchor_i, anchor_c = self._i, self._cand
-
-            while True:
-                head = height_head()
-                excess = -1 if head is None else pp[head] - a_at(head)
-                if excess >= 0:
-                    if excess > 0:
-                        return self._fail(n)
-                    j, i, c = head, self._i, self._cand
-                    self._ops_total += j - i
-                    if pp[i:j] != pp[c : c + j - i]:
-                        return self._fail(n)
-                    commit(j)
-                    continue  # the fresh slope may end immediately: height first
-                q = anchor_c + (self._i - anchor_i)
-                if value_query(self._cand, n, q):
-                    break
-                if not step_candidate():
+        pp, dom, emb = self._pp, self._dom, self._emb
+        next_stored, push_slope = emb._next_stored, emb.push_slope
+        debug = self.debug
+        i, cand, stored, k = self._i, self._cand, self._head_stored, self._cand_idx
+        ops, dom_ops = self._ops_total, self._dom_ops
+        try:
+            for a_prime in values:
+                n = len(pp)
+                if a_prime < -1:
+                    return self._fail(n)
+                pp.append(a_prime)
+                ops += 1
+                if a_prime > cand + (n - i):  # above the slope's value at n
                     return self._fail(n)
 
-        return Verdict(True, None, self.max_alphabet)
+                # dominance list: drop newly dominated tail entries, then insert n
+                while dom and a_prime - pp[dom[-1]] > n - dom[-1]:
+                    dom.pop()
+                    dom_ops += 1
+                dom.append(n)
+                dom_ops += 1
+
+                # arrival anchor: the value the start-of-arrival slope assigns
+                # to the current slope head i is anchor + i (adjustments only
+                # ever go below it)
+                anchor = cand - i
+
+                while True:
+                    # height query: the dominance-list head within [i..n] alone
+                    # decides whether any j there has A'[j] >= A[j]
+                    while dom and dom[0] < i:
+                        dom.popleft()
+                        dom_ops += 1
+                    head = dom[0] if dom else None
+                    excess = -1 if head is None else pp[head] - (cand + (head - i))
+                    if debug:
+                        self._i, self._cand = i, cand
+                        lo = self.height_query()
+                        if (lo is None) != (excess < 0) or (excess == 0 and lo != head):
+                            raise AssertionError(f"height query disagrees with scan: {lo} vs {head}")
+                    if excess >= 0:
+                        if excess > 0:
+                            return self._fail(n)
+                        # equality ends the slope at head: commit A[i..head]
+                        # = cand, cand+1, ... and start a fresh slope after it
+                        count = head - i
+                        ops += count
+                        if pp[i:head] != pp[cand : cand + count]:
+                            return self._fail(n)
+                        if cand:
+                            push_slope(cand, count, stored)
+                            ops += 1 + count
+                        elif count:  # a 0 head was fed when the slope reached it
+                            push_slope(0, count)
+                            ops += count
+                        i = head + 1
+                        stored = next_stored(cand + count + 1)
+                        k = len(stored) - 2  # stored ends with the father, not a candidate
+                        cand = stored[k] if k >= 0 else 0
+                        if not cand:  # 0 is final: feed it now
+                            push_slope(0, 0, stored)
+                        continue  # the fresh slope may end immediately: height first
+
+                    # value query: A'[i..n] == A'[cand..cand+(n-i)], decomposed
+                    # against the arrival anchor q = anchor + i
+                    if i > n:
+                        break
+                    length = n - i
+                    l = anchor + i - cand
+                    assert l >= 0, "candidate above the arrival-start value"
+                    ops += 2
+                    if l >= length:
+                        for t in range(length + 1):
+                            ops += 1
+                            if pp[i + t] != pp[cand + t]:
+                                matched = False
+                                break
+                        else:
+                            matched = True
+                    else:
+                        matched = True
+                        for t in range(l):
+                            ops += 1
+                            if pp[i + t] != pp[cand + t]:
+                                matched = False
+                                break
+                        if matched and pp[n] != pp[cand + length]:
+                            matched = False
+                        if matched and l > 0:
+                            sfx = self._sfx
+                            for value in pp[sfx.size + 1 : n]:  # catch up from the stored stream
+                                sfx.append(value)
+                            matched = sfx.is_suffix_prefix_of_suffix(i, l, n - 1)
+                    if debug:
+                        self._i, self._cand = i, cand
+                        if self.value_query() != matched:
+                            raise AssertionError(f"value query decomposition wrong: i={i} c={cand} n={n}")
+                    if matched:
+                        break
+
+                    # step down to the next smaller candidate; below 0 rejects
+                    if not cand:
+                        return self._fail(n)
+                    k -= 1
+                    cand = stored[k] if k >= 0 else 0
+                    if not cand:  # 0 is final: feed it now
+                        push_slope(0, 0, stored)
+
+            return Verdict(True, None, emb.max_alphabet if len(pp) > 1 else 0)
+        finally:
+            self._i, self._cand, self._head_stored, self._cand_idx = i, cand, stored, k
+            self._ops_total, self._dom_ops = ops, dom_ops
 
     # -- outputs ---------------------------------------------------------------
 

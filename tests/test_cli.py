@@ -46,6 +46,16 @@ def test_compute_parse_error_cites_line():
     assert code == EXIT_USAGE and "-" in err
 
 
+def test_validate_parse_error_names_line_and_token(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("0 1\n2 3\n\n\t0 1 x7 2\n0\n")
+    argv = ["validate", "--kind", "pi", "--engine", "basic"]
+    code, out, err = run_cli([*argv, str(path)])
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {path}:4: not an integer: 'x7'\n")
+    code, out, err = run_cli([*argv, "-"], "0\r\n1\r\n0 1.5\r\n")
+    assert (code, out, err) == (EXIT_USAGE, "", "error: -:3: not an integer: '1.5'\n")
+
+
 def test_validate_exit_codes():
     code, out, _ = run_cli(["validate", "--kind", "pi", "--engine", "basic", "-"], "0 1 1")
     assert code == EXIT_INVALID

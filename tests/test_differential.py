@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from borderval.border_core import compute_pi
-from borderval.families import random_valid_pi, random_word
+from borderval.border_core import compute_pi, pi_to_pi_prime
+from borderval.families import fibonacci_word, long_query_word, random_valid_pi, random_word
 from borderval.pi_online import OnlineValidator, PushAfterFailure, Verdict
 from borderval.pi_prime_online import SlopeValidator
 from borderval.pi_realtime import RealTimeValidator
@@ -151,6 +151,31 @@ def test_push_many_matches_push(stream, data):
 def test_slope_push_many_matches_push(case, data):
     stream, _ = case
     check_push_many_matches_push(SlopeValidator, stream, chunk_cuts(data, stream))
+
+
+# -- the slope engine's fast path against its shadow-checked run ----------------------
+
+
+def slope_report(stream, debug):
+    engine = SlopeValidator(debug=debug)
+    return report(engine, engine.push_many(stream))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mutated_pi_prime_streams())
+def test_slope_debug_matches_fast_path(case):
+    stream, _ = case
+    assert slope_report(stream, debug=False) == slope_report(stream, debug=True)
+
+
+@pytest.mark.parametrize(
+    "word",
+    [fibonacci_word(2001), long_query_word(3), long_query_word(32), long_query_word(512)],
+    ids=["fibonacci", "long_query_3", "long_query_32", "long_query_512"],
+)
+def test_slope_debug_matches_fast_path_on_words(word):
+    stream = pi_to_pi_prime(compute_pi(word))[:2000]
+    assert slope_report(stream, debug=False) == slope_report(stream, debug=True)
 
 
 ALL_ENGINES = {**PUSH_MANY_ENGINES, "slope": lambda n: SlopeValidator()}

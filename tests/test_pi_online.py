@@ -148,32 +148,43 @@ def test_stored_candidates_lie_below_their_position(n, seed, source):
     seed=st.integers(min_value=0, max_value=10**6),
     bias=st.sampled_from([0.0, 0.5, 0.9]),
     run=st.integers(min_value=0, max_value=400),
+    data=st.data(),
 )
-def test_push_run_matches_single_pushes(n, seed, bias, run):
+def test_push_slope_matches_single_pushes(n, seed, bias, run, data):
     prefix = random_valid_pi(n, seed, unary_bias=bias)
-    first = prefix[-1] + 1
     one_by_one = OnlineValidator(debug=True)
-    assert drive(one_by_one, prefix + list(range(first, first + run))) is None
+    assert drive(one_by_one, prefix) is None
+    head = data.draw(st.sampled_from(one_by_one.candidates_for_next()))
+    stored = one_by_one._next_stored(prefix[-1] + 1)
+    assert drive(one_by_one, range(head, head + run + 1)) is None
     bulk = OnlineValidator(debug=True)
     assert drive(bulk, prefix) is None
-    bulk.push_run(first, run)
+    bulk.push_slope(head, run, stored)
     assert validator_state(bulk) == validator_state(one_by_one)
-    # later pushes and runs continue from the same state
+    # later pushes and slopes continue from the same state; a head already
+    # pushed takes its run without a stored set
     assert bulk.push(0) == one_by_one.push(0)
-    bulk.push_run(1, 5)
+    bulk.push_slope(0, 5)
     assert drive(one_by_one, [1, 2, 3, 4, 5]) is None
     assert validator_state(bulk) == validator_state(one_by_one)
 
 
-def test_push_run_preconditions():
+def test_push_slope_preconditions():
     v = OnlineValidator()
     with pytest.raises(ValueError):
-        v.push_run(1, 2)  # nothing pushed yet: position 1 has no father
-    v.push(0)
+        v.push_slope(0, 2)  # nothing pushed yet: no head to run from
+    v.push_slope(0, 0, ())  # position 1 has an empty stored set
     with pytest.raises(ValueError):
-        v.push_run(2, 1)  # the next father is 1
-    v.push_run(1, 3)
+        v.push_slope(1, 1)  # the last value is 0: a run starts at 1
+    v.push_slope(0, 3)
     assert v.witness() == (1, 1, 1, 1)
-    assert not v.push(5).valid
+    stored = v._next_stored(4)
+    assert stored == (4,)
+    with pytest.raises(ValueError):
+        v.push_slope(2, 0, stored)  # neither 0 nor in its stored set
+    assert v.n == 4  # a refused slope leaves the state as it was
+    v.push_slope(4, 1, stored)
+    assert v.witness() == (1,) * 6
+    assert not v.push(7).valid
     with pytest.raises(PushAfterFailure):
-        v.push_run(4, 1)
+        v.push_slope(0, 0, (1,))
