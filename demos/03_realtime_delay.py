@@ -3,8 +3,8 @@
 The real-time engine replaces candidate sets with depth bookkeeping, one
 level-ancestor probe and two bit flips, so its core work per value is a small
 constant regardless of input length or shape.  The level-ancestor structure
-used here is the jump-pointer fallback, whose own (logarithmic) costs are
-tracked separately.
+is skew-binary jump pointers: one op per added leaf and O(log n) per query,
+still counted apart from the core ops.
 """
 
 from borderval import RealTimeValidator, compute_pi
@@ -25,5 +25,5 @@ for name, gen in FAMILIES.items():
         c = v.stats()
         print(f"{name:>14} {n:>8} {c['max_delay_ops']:>20} {c['la_ops_max']:>18}")
 
-print("\nThe core column stays flat; the LA column grows with log n on the")
-print("unary family, which is exactly the documented fallback cost.")
+print("\nThe core column stays flat.  The LA column is one op per added leaf")
+print("plus the steps of a probe push's one query, logarithmic in the depth.")

@@ -27,7 +27,6 @@ __all__ = [
     "text_to_word",
     "word_to_text",
     "is_canonical",
-    "canonicalize",
     "compute_pi",
     "naive_pi",
     "naive_pi_prime",
@@ -75,18 +74,6 @@ def is_canonical(word: tuple[int, ...]) -> bool:
         if s == seen + 1:
             seen += 1
     return True
-
-
-def canonicalize(word) -> tuple[int, ...]:
-    """Rename symbols into first-occurrence order (border arrays are
-    invariant under this renaming)."""
-    names: dict = {}
-    out = []
-    for s in word:
-        if s not in names:
-            names[s] = len(names) + 1
-        out.append(names[s])
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

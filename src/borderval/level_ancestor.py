@@ -1,13 +1,14 @@
 """Incremental level-ancestor queries over a grow-by-leaf tree.
 
-Jump-pointer (binary lifting) scheme: every node keeps its ancestors at
-power-of-two distances.  add_leaf costs O(log depth), queries O(log delta).
-This is the documented fallback structure; its operation counts are kept
-separate so the enclosing validator's per-push work can be reported with and
-without them (a constant-time add-leaf/query structure exists in the
-literature and would slot in behind the same two calls).
+Skew-binary jump pointers (E. W. Myers, "An applicative random-access
+stack", IPL 1983): every node keeps one parent, one jump and one depth, in
+three flat columns.  add_leaf sets the jump in O(1), queries step by jump or
+by parent in O(log n).  Their operation counts are kept apart from the
+enclosing validator's core ops, so its per-push work can be reported with and
+without them (Alstrup and Holm, ICALP 2000, give O(1) queries).
 
-Nodes are numbered 1..n in insertion order; node 1 is the root.
+Nodes are numbered 1..n in insertion order; node 1 is the root.  Slot 0 is a
+virtual node at depth 0 above the root, so no column needs a special case.
 """
 
 from __future__ import annotations
@@ -17,53 +18,44 @@ __all__ = ["JumpPointerLA"]
 
 class JumpPointerLA:
     def __init__(self):
-        self._up: list[list[int]] = []  # per node: ancestors at 1, 2, 4, ... levels
-        self._depth: list[int] = []  # root depth 1
+        self._parent = [0]
+        self._jump = [0]
+        self._depth = [0]
         self.ops = 0
 
-    def __len__(self) -> int:
-        return len(self._up)
-
     def add_leaf(self, parent: int) -> int:
-        """Append a node under ``parent`` (0 for the root); returns its id."""
-        node = len(self._up) + 1
-        if parent == 0:
-            self._up.append([0])
-            self._depth.append(1)
-            self.ops += 1
-            return node
-        row = [parent]
-        self._depth.append(self._depth[parent - 1] + 1)
-        k = 0
-        while True:
-            anc = row[k]
-            up_anc = self._up[anc - 1]
-            if k >= len(up_anc) or up_anc[k] == 0:
-                break
-            row.append(up_anc[k])
-            k += 1
-        self._up.append(row)
-        self.ops += 1 + k
-        return node
+        """Append a node under ``parent`` (0 for the root); returns its id.
+
+        Myers' rule: when the parent's jump and the jump's own jump span the
+        same number of levels, the new node jumps over both; otherwise it
+        jumps to its parent."""
+        jump, depth = self._jump, self._depth
+        j = jump[parent]
+        jj = jump[j]
+        dp = depth[parent]
+        jump.append(jj if dp - depth[j] == depth[j] - depth[jj] else parent)
+        depth.append(dp + 1)
+        self._parent.append(parent)
+        self.ops += 1
+        return len(depth) - 1
 
     def depth(self, node: int) -> int:
-        return self._depth[node - 1]
+        return self._depth[node]
 
     def parent(self, node: int) -> int:
-        return self._up[node - 1][0]
+        return self._parent[node]
 
     def la(self, node: int, delta: int) -> int:
         """Ancestor ``delta`` levels above ``node`` (delta 0 = the node)."""
-        if delta < 0 or delta >= self._depth[node - 1]:
+        depth = self._depth
+        if delta < 0 or delta >= depth[node]:
             raise ValueError(f"no ancestor {delta} levels above node {node}")
+        parent, jump = self._parent, self._jump
+        target = depth[node] - delta
         v = node
-        k = 0
-        while delta:
-            if delta & 1:
-                v = self._up[v - 1][k]
-                self.ops += 1
-            delta >>= 1
-            k += 1
+        while depth[v] > target:
+            j = jump[v]
+            v = j if depth[j] >= target else parent[v]
             self.ops += 1
         return v
 
@@ -71,7 +63,7 @@ class JumpPointerLA:
         """Father-chain reference; for cross-checks only."""
         v = node
         for _ in range(delta):
-            v = self._up[v - 1][0]
+            v = self._parent[v]
             if v == 0:
                 raise ValueError("walked past the root")
         return v

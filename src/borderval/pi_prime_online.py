@@ -271,6 +271,7 @@ def validate_g_stream(values, debug: bool = False):
     pp = SlopeValidator(debug=debug)
     values = iter(values)
     if next(values, 0) != 0:  # an empty stream passes
+        pp._fail(0)  # g[1] is A'[0]
         return Verdict(False, position=1), pp
     verdict = pp.push_many(g - 1 for g in values)
     if not verdict.valid:  # g[k] is A'[k-1]: shift the position by one

@@ -1,9 +1,11 @@
 """Real-time border-array validation: constant word-work per value.
 
-Instead of candidate sets this validator keeps, per position, the depth d in
-the failure tree (father f[i] = A[i-1]+1), the depth d' in the strict failure
-forest, and a bit vector indexed by d'-levels marking which levels carry a
-valid candidate.  d' follows
+Instead of candidate sets this validator keeps, per position, the depth d' in
+the strict failure forest and a bit vector indexed by d'-levels marking which
+levels carry a valid candidate.  The failure tree itself (father
+f[i] = A[i-1]+1), with each node's depth d, is stored once, in the
+level-ancestor structure: skew-binary jump pointers with O(1) add-leaf and
+O(log n) queries, whose ops are counted apart from the core ops.  d' follows
 
     d'[1] = 1;  d'[i] = d'[f[i]] + (0 if A[i] == f[i] else 1)
 
@@ -47,7 +49,6 @@ class RealTimeValidator(WitnessTracker):
         self.n_max = n_max
         self._width = dprime_width(n_max)
         self._a: list[int] = []
-        self._d: list[int] = []
         self._dp: list[int] = []
         self._bits: list[int] = []  # candidate vector per position, d'-indexed
         self._la = JumpPointerLA()
@@ -64,10 +65,10 @@ class RealTimeValidator(WitnessTracker):
     def push_many(self, values) -> Verdict:
         if self.failed_at is not None:
             raise PushAfterFailure(f"stream failed at {self.failed_at}")
-        a_list, d_list, dp_list, bits_list = self._a, self._d, self._dp, self._bits
+        a_list, dp_list, bits_list = self._a, self._dp, self._bits
         letters, alphs = self._letter, self._alph
         la = self._la
-        add_leaf, la_query, parent = la.add_leaf, la.la, la.parent
+        add_leaf, la_query, parent, depth = la.add_leaf, la.la, la.parent, la.depth
         next_letter = self._next_letter
         width, debug = self._width, self.debug
         p = len(a_list)
@@ -82,10 +83,9 @@ class RealTimeValidator(WitnessTracker):
             # the leaf stays when a later check rejects: the validator is dead then
             add_leaf(f)
             if p == 1:
-                d_p = dp_p = 1
+                dp_p = 1
                 bits = 0
             else:
-                d_p = d_list[f - 1] + 1
                 # inherited candidate vector: clear the father's own value, add the father
                 bits = bits_list[f - 1]
                 af = a_list[f - 1]
@@ -95,7 +95,7 @@ class RealTimeValidator(WitnessTracker):
                 ops += 4
 
                 if 0 < a < f:
-                    delta = d_p - d_list[a - 1] - 1
+                    delta = depth(f) - depth(a)
                     ops += 3
                     if delta < 1:
                         return self._fail(p)
@@ -112,7 +112,6 @@ class RealTimeValidator(WitnessTracker):
 
             letter, alph = next_letter(a, f)
             a_list.append(a)
-            d_list.append(d_p)
             dp_list.append(dp_p)
             bits_list.append(bits)
             letters.append(letter)

@@ -56,11 +56,10 @@ class CapacityViolation(AssertionError):
 
 
 class _Block:
-    __slots__ = ("value", "alpha", "src_value", "removed", "chain", "flags", "ready", "deadline", "fill_pos")
+    __slots__ = ("value", "src_value", "removed", "chain", "flags", "ready", "deadline", "fill_pos")
 
     def __init__(self, value: int, src_value: int, removed: int, deadline: int):
         self.value = value
-        self.alpha = value.bit_length()
         self.src_value = src_value  # strict father of the node `value`
         self.removed = removed  # X(value); 0 = nothing removed
         self.chain: list[int] | None = None  # strict ancestors of value, descending; set once ready

@@ -15,6 +15,7 @@ import pytest
 
 from borderval.border_core import (
     compute_pi,
+    is_canonical,
     naive_pi,
     naive_pi_prime,
     pi_prime_to_pi,
@@ -113,7 +114,7 @@ def test_criterion_3_pi_validator_exactness():
             if accepted:
                 basic = engines[0]
                 w = basic.witness()
-                if tuple(compute_pi(w)) != s:
+                if tuple(compute_pi(w)) != s or not is_canonical(w):
                     disagreements += 1
                 elif basic.max_alphabet != min_alphabet_bruteforce(list(s)):
                     disagreements += 1
@@ -252,7 +253,7 @@ def test_criterion_7_constant_delay():
             assert c["max_delay_ops"] <= C7_CORE_OPS_MAX, (name, n, c)
     _report(7, "constant delay",
             f"core ops/push <= {C7_CORE_OPS_MAX} on all families and sizes "
-            f"(observed max {max(worst.values())}; level-ancestor fallback "
+            f"(observed max {max(worst.values())}; level-ancestor "
             f"ops/push up to {max(la_worst.values())}, reported separately) "
             f"({time.time() - t0:.0f}s)")
 

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from borderval.border_core import (
     InvalidBorderArray,
-    canonicalize,
     compute_pi,
     is_canonical,
     naive_pi,
@@ -31,7 +30,6 @@ def test_codec_roundtrip():
 def test_canonical():
     assert is_canonical((1, 1, 2, 1, 3))
     assert not is_canonical((2, 1))
-    assert canonicalize((5, 5, 9, 5)) == (1, 1, 2, 1)
 
 
 def test_compute_pi_examples(fig_word):

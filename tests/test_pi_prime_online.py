@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from borderval.border_core import compute_pi, pi_to_pi_prime
 from borderval.families import fibonacci_word, long_query_word, random_valid_pi, random_valid_pi_prime, random_word
 from borderval.oracle import enumerate_pi_prime_prefix_witnesses, iter_canonical_pi
-from borderval.pi_online import OnlineValidator, PushAfterFailure
+from borderval.pi_online import OnlineValidator, PushAfterFailure, StateInvalid, Verdict
 from borderval.pi_prime_online import SlopeValidator, validate_g_stream
 
 from conftest import drive, validator_state
@@ -175,6 +175,13 @@ def test_g_validation():
     assert v.recovered_pi()[:3] == [0, 1, 2]
     verdict, _ = validate_g_stream([1])
     assert not verdict.valid and verdict.position == 1
+    # a bad first value leaves the validator failed, like any later rejection
+    verdict, v = validate_g_stream([3, 1, 2])
+    assert verdict == Verdict(False, position=1)
+    with pytest.raises(PushAfterFailure):
+        v.push(0)
+    with pytest.raises(StateInvalid):
+        v.recovered_pi()
     verdict, _ = validate_g_stream([])
     assert verdict.valid
 
