@@ -50,14 +50,18 @@ def _read_text(path: str) -> str:
 
 
 def _parse_ints(text: str, path: str) -> list[int]:
-    try:
-        return list(map(int, text.split()))
-    except ValueError:
-        pass
+    # int() reads "1_0" as 10: text with an underscore goes to the rescan
+    if "_" not in text:
+        try:
+            return list(map(int, text.split()))
+        except ValueError:
+            pass
     # splitting line by line gives the same tokens: rescan to name the bad one's line
     for lineno, line in enumerate(text.splitlines(), start=1):
         for tok in line.split():
             try:
+                if "_" in tok:
+                    raise ValueError(tok)
                 int(tok)
             except ValueError:
                 raise CliError(f"{path}:{lineno}: not an integer: {tok!r}") from None

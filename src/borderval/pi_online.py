@@ -18,10 +18,9 @@ Every engine in the package (this one, ``RealTimeValidator``,
 
 * ``push_many(values)`` pushes the values in order and stops at the first
   rejection.  It returns that rejection's ``Verdict``, or one valid
-  ``Verdict`` for the whole call, carrying the current ``max_alphabet`` and
-  the last pushed value's witness letter (``None`` for an empty call and
-  for the strict engine, which assigns no letters).  No per-value
-  ``Verdict`` is built.
+  ``Verdict`` for the whole call, carrying the current ``max_alphabet``.
+  No per-value ``Verdict`` is built; the witness letters are read from
+  ``witness()``.
 * ``push(a)`` is ``push_many((a,))``: the same code path, one value.
 * Either raises ``PushAfterFailure`` once the stream has failed.
 
@@ -51,7 +50,6 @@ class Verdict(NamedTuple):
     valid: bool
     position: int | None = None  # set when invalid
     max_alphabet: int = 0
-    letter: int | None = None  # witness letter assigned to this position
 
 
 class WitnessTracker:
@@ -108,11 +106,10 @@ class OnlineValidator(WitnessTracker):
     pushing its values one by one.
     """
 
-    def __init__(self, debug: bool = False):
+    def __init__(self):
         super().__init__()
         self._a: list[int] = []
         self._stored: list[tuple[int, ...]] = []  # positive candidates per position
-        self.debug = debug
 
     def candidates_for_next(self) -> tuple[int, ...]:
         """Valid values for the next position, 0 included, sorted ascending."""
@@ -145,9 +142,7 @@ class OnlineValidator(WitnessTracker):
             raise PushAfterFailure(f"stream failed at {self.failed_at}")
         a_list, stored_list, letters, alphs = self._a, self._stored, self._letter, self._alph
         next_stored, next_letter = self._next_stored, self._next_letter
-        debug = self.debug
         f = a_list[-1] + 1 if a_list else 0
-        letter = None
         for a in values:
             if a < 0 or a > f:
                 return self._fail(len(a_list) + 1)
@@ -159,14 +154,8 @@ class OnlineValidator(WitnessTracker):
             stored_list.append(stored)
             letters.append(letter)
             alphs.append(alph)
-            if debug:
-                assert len(stored) <= self.max_alphabet + 1, (
-                    "candidate set exceeded alphabet bound",
-                    len(a_list),
-                    stored,
-                )
             f = a + 1
-        return Verdict(True, None, self.max_alphabet, letter)
+        return Verdict(True, None, self.max_alphabet)
 
     def push_slope(self, head: int, count: int, stored: tuple[int, ...] | None = None) -> None:
         """Accept a slope the strict engine committed: ``head`` at the next
@@ -185,8 +174,6 @@ class OnlineValidator(WitnessTracker):
             if head and head not in stored:
                 raise ValueError(f"slope head {head} is neither 0 nor in its stored set {stored}")
             f = a[-1] + 1 if a else 0
-            if self.debug:
-                assert stored == self._next_stored(f), "stored set of another position"
             head_letter, head_alph = self._next_letter(head, f)
             a.append(head)
             stored_list.append(stored)
@@ -198,11 +185,6 @@ class OnlineValidator(WitnessTracker):
             a.append(f)  # the stored tuple holds this same int object
             letter.append(letter[f - 1])
             alph.append(alph[f - 1])
-        if self.debug:
-            bound = self.max_alphabet + 1
-            assert all(len(s) <= bound for s in stored_list[len(stored_list) - count - 1 :]), (
-                "candidate set exceeded alphabet bound"
-            )
 
     # -- outputs ------------------------------------------------------------
 

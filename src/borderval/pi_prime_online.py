@@ -60,7 +60,7 @@ __all__ = ["SlopeValidator", "validate_g_stream"]
 
 
 class SlopeValidator:
-    def __init__(self, debug: bool = False):
+    def __init__(self):
         self._pp: list[int] = [-1]  # A'[j] at index j; A'[0] = -1 is the empty prefix
         self._i = 1  # first position of the last slope
         self._cand = 0  # current A[i]; position 1 is pinned to 0
@@ -68,14 +68,13 @@ class SlopeValidator:
         # _head_stored[_cand_idx] for _cand_idx = len - 2, ..., 0 and then 0
         self._head_stored: tuple[int, ...] = ()
         self._cand_idx = -1
-        self._emb = OnlineValidator(debug=debug)  # holds A[1..i-1], and A[i] once it is 0
+        self._emb = OnlineValidator()  # holds A[1..i-1], and A[i] once it is 0
         self._emb.push(0)  # A[1] = 0 is forced and final
         self._sfx = OnlineSuffixIndex()
         self._dom: deque[int] = deque()
         self._dom_ops = 0  # dominance-list inserts and removals
         self._ops_total = 0
         self.failed_at: int | None = None
-        self.debug = debug
 
     # -- array views ---------------------------------------------------------
 
@@ -107,8 +106,7 @@ class SlopeValidator:
 
         Reference semantics, a linear scan; the push path answers the same
         question from the dominance-list head alone.  Between pushes the
-        accepted state never has a conflict, so this returns None: the
-        interesting calls are the debug shadow checks inside the push."""
+        accepted state never has a conflict, so this returns None."""
         pp, i, c = self._pp, self._i, self._cand
         return next((j for j in range(i, len(pp)) if pp[j] >= c + (j - i)), None)
 
@@ -127,13 +125,11 @@ class SlopeValidator:
 
     def push_many(self, values) -> Verdict:
         """One loop for every push.  The slope state lives in locals and is
-        written back once, when the call returns or fails; with ``debug``
-        the public queries shadow-check each height and value answer."""
+        written back once, when the call returns or fails."""
         if self.failed_at is not None:
             raise PushAfterFailure(f"stream failed at {self.failed_at}")
         pp, dom, emb = self._pp, self._dom, self._emb
         next_stored, push_slope = emb._next_stored, emb.push_slope
-        debug = self.debug
         i, cand, stored, k = self._i, self._cand, self._head_stored, self._cand_idx
         ops, dom_ops = self._ops_total, self._dom_ops
         try:
@@ -166,11 +162,6 @@ class SlopeValidator:
                         dom_ops += 1
                     head = dom[0] if dom else None
                     excess = -1 if head is None else pp[head] - (cand + (head - i))
-                    if debug:
-                        self._i, self._cand = i, cand
-                        lo = self.height_query()
-                        if (lo is None) != (excess < 0) or (excess == 0 and lo != head):
-                            raise AssertionError(f"height query disagrees with scan: {lo} vs {head}")
                     if excess >= 0:
                         if excess > 0:
                             return self._fail(n)
@@ -224,10 +215,6 @@ class SlopeValidator:
                             for value in pp[sfx.size + 1 : n]:  # catch up from the stored stream
                                 sfx.append(value)
                             matched = sfx.is_suffix_prefix_of_suffix(i, l, n - 1)
-                    if debug:
-                        self._i, self._cand = i, cand
-                        if self.value_query() != matched:
-                            raise AssertionError(f"value query decomposition wrong: i={i} c={cand} n={n}")
                     if matched:
                         break
 
@@ -261,14 +248,14 @@ class SlopeValidator:
         }
 
 
-def validate_g_stream(values, debug: bool = False):
+def validate_g_stream(values):
     """Validate a stream under the shifted convention g[i] = A'[i-1] + 1.
 
     The first value must be 0 (the empty prefix has strict value -1); each
     later g[k] is fed as A'[k-1] = g[k] - 1.  Returns (verdict, validator);
     positions in the verdict use g's indexing.
     """
-    pp = SlopeValidator(debug=debug)
+    pp = SlopeValidator()
     values = iter(values)
     if next(values, 0) != 0:  # an empty stream passes
         pp._fail(0)  # g[1] is A'[0]

@@ -44,7 +44,7 @@ def dprime_width(n_max: int) -> int:
 
 
 class RealTimeValidator(WitnessTracker):
-    def __init__(self, n_max: int = 2**32, debug: bool = False):
+    def __init__(self, n_max: int = 2**32):
         super().__init__()
         self.n_max = n_max
         self._width = dprime_width(n_max)
@@ -52,7 +52,6 @@ class RealTimeValidator(WitnessTracker):
         self._dp: list[int] = []
         self._bits: list[int] = []  # candidate vector per position, d'-indexed
         self._la = JumpPointerLA()
-        self.debug = debug
         # counted work of accepted pushes; the per-push maxima keep core
         # and level-ancestor ops apart
         self._ops_total = 0
@@ -70,10 +69,9 @@ class RealTimeValidator(WitnessTracker):
         la = self._la
         add_leaf, la_query, parent, depth = la.add_leaf, la.la, la.parent, la.depth
         next_letter = self._next_letter
-        width, debug = self._width, self.debug
+        width = self._width
         p = len(a_list)
         f = a_list[-1] + 1 if a_list else 0
-        letter = None
         for a in values:
             p += 1
             if a < 0 or a > f:
@@ -100,8 +98,6 @@ class RealTimeValidator(WitnessTracker):
                     if delta < 1:
                         return self._fail(p)
                     j = la_query(p, delta)
-                    if debug:
-                        assert j == la.naive_la(p, delta), "level-ancestor mismatch"
                     dp_a = dp_list[a - 1]
                     if parent(j) != a or dp_list[j - 1] == dp_a or not bits & (1 << dp_a):
                         return self._fail(p)
@@ -123,7 +119,7 @@ class RealTimeValidator(WitnessTracker):
             if la_ops > self._la_ops_push_max:
                 self._la_ops_push_max = la_ops
             f = a + 1
-        return Verdict(True, None, self.max_alphabet, letter)
+        return Verdict(True, None, self.max_alphabet)
 
     def stats(self) -> dict[str, int]:
         """Core ops per push (``max_delay_ops``, the constant-delay claim)

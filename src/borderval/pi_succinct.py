@@ -70,18 +70,11 @@ class _Block:
 
 
 class SuccinctValidator(WitnessTracker):
-    def __init__(
-        self,
-        n_max: int = 2**32,
-        lazy: bool = False,
-        beta: int = 8,
-        debug: bool = False,
-    ):
+    def __init__(self, n_max: int = 2**32, lazy: bool = False, beta: int = 8):
         super().__init__()
         self.n_max = n_max
         self.lazy = lazy
         self.beta = beta
-        self.debug = debug
         # per-position narrow records (letter and path alphabet in the base)
         self._b: list[int] = []
         self._kx: list[int] = []
@@ -218,12 +211,6 @@ class SuccinctValidator(WitnessTracker):
         blk.chain = chain
         blk.flags = flags
         blk.ready = True
-        if self.debug:
-            assert all(chain[t] > chain[t + 1] for t in range(len(chain) - 1))
-            counts: dict[int, int] = {}
-            for v in chain:
-                counts[v.bit_length()] = counts.get(v.bit_length(), 0) + 1
-            assert all(c <= 2 for c in counts.values()), "two slots per class exceeded"
         return True, budget - (left or 1)  # an empty chain costs one step
 
     # -- lazy copying ------------------------------------------------------------
@@ -295,7 +282,6 @@ class SuccinctValidator(WitnessTracker):
         next_letter = self._next_letter
         tick = self._scheduler_tick if self.lazy else None
         x = len(letters)
-        letter = None
         for a in values:
             x += 1
             f = self._prev_a + 1
@@ -328,7 +314,7 @@ class SuccinctValidator(WitnessTracker):
 
             if tick:
                 tick(x)
-        return Verdict(True, None, self.max_alphabet, letter)
+        return Verdict(True, None, self.max_alphabet)
 
     # -- counters and memory accounting -------------------------------------------
 

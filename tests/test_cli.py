@@ -54,6 +54,13 @@ def test_validate_parse_error_names_line_and_token(tmp_path):
     assert (code, out, err) == (EXIT_USAGE, "", f"error: {path}:4: not an integer: 'x7'\n")
     code, out, err = run_cli([*argv, "-"], "0\r\n1\r\n0 1.5\r\n")
     assert (code, out, err) == (EXIT_USAGE, "", "error: -:3: not an integer: '1.5'\n")
+    # int() reads underscore digit groups; the input format has none
+    code, out, err = run_cli([*argv, "-"], "0 1_0")
+    assert (code, out, err) == (EXIT_USAGE, "", "error: -:1: not an integer: '1_0'\n")
+    code, out, err = run_cli([*argv, "--emit-witness", "-"], "0 +1 0_0")
+    assert (code, out, err) == (EXIT_USAGE, "", "error: -:1: not an integer: '0_0'\n")
+    code, out, err = run_cli(["compute", "--kind", "pi", "--ints", "-"], "1\n0_2\n")
+    assert (code, out, err) == (EXIT_USAGE, "", "error: -:2: not an integer: '0_2'\n")
 
 
 def test_validate_exit_codes():

@@ -21,6 +21,7 @@ from borderval.pi_prime_online import SlopeValidator
 from borderval.pi_realtime import RealTimeValidator
 from borderval.pi_succinct import SuccinctValidator
 
+from conftest import ReferenceSlopeValidator
 from test_pi_prime_online import mutated_pi_prime_streams
 
 ENGINES = {  # compared against OnlineValidator (basic)
@@ -153,19 +154,22 @@ def test_slope_push_many_matches_push(case, data):
     check_push_many_matches_push(SlopeValidator, stream, chunk_cuts(data, stream))
 
 
-# -- the slope engine's fast path against its shadow-checked run ----------------------
+# -- the slope engine against its reference ------------------------------------------
 
 
-def slope_report(stream, debug):
-    engine = SlopeValidator(debug=debug)
-    return report(engine, engine.push_many(stream))
+def slope_report(make, stream):
+    """Verdict, failure position, alphabet and, on a valid stream, the
+    recovered array after one ``push_many`` call."""
+    engine = make()
+    verdict = engine.push_many(stream)
+    return verdict, engine.failed_at, engine.max_alphabet, engine.recovered_pi() if verdict.valid else None
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(mutated_pi_prime_streams())
-def test_slope_debug_matches_fast_path(case):
+def test_slope_matches_reference(case):
     stream, _ = case
-    assert slope_report(stream, debug=False) == slope_report(stream, debug=True)
+    assert slope_report(SlopeValidator, stream) == slope_report(ReferenceSlopeValidator, stream)
 
 
 @pytest.mark.parametrize(
@@ -173,9 +177,9 @@ def test_slope_debug_matches_fast_path(case):
     [fibonacci_word(2001), long_query_word(3), long_query_word(32), long_query_word(512)],
     ids=["fibonacci", "long_query_3", "long_query_32", "long_query_512"],
 )
-def test_slope_debug_matches_fast_path_on_words(word):
+def test_slope_matches_reference_on_words(word):
     stream = pi_to_pi_prime(compute_pi(word))[:2000]
-    assert slope_report(stream, debug=False) == slope_report(stream, debug=True)
+    assert slope_report(SlopeValidator, stream) == slope_report(ReferenceSlopeValidator, stream)
 
 
 ALL_ENGINES = {**PUSH_MANY_ENGINES, "slope": lambda n: SlopeValidator()}

@@ -9,15 +9,23 @@ from borderval.pi_online import OnlineValidator, PushAfterFailure, StateInvalid
 
 from conftest import drive, local_streams, validator_state
 
+# every push_slope below runs under its contract checks
+pytestmark = pytest.mark.usefixtures("checked_push_slope")
+
 FIG_PI = [0, 1, 0, 1, 2, 3, 4, 5, 2, 3, 4, 5, 0]
+
+
+def alphabet_bound_holds(v):
+    """The candidate set offered next, 0 left out, has at most
+    ``max_alphabet + 1`` entries."""
+    return len(v.candidates_for_next()) - 1 <= v.max_alphabet + 1
 
 
 def test_start_state():
     v = OnlineValidator()
     assert v.n == 0
-    first = v.push(0)
-    assert first.valid and first.letter == 1
-    assert v.push(0).letter == 2  # fresh letter at a second zero
+    assert v.push(0).valid and v.witness()[-1] == 1
+    assert v.push(0).valid and v.witness()[-1] == 2  # fresh letter at a second zero
 
 
 def test_first_value_must_be_zero():
@@ -77,7 +85,13 @@ def test_valid_array_with_zero_father_history():
 def test_exactness(n):
     valid = enumerate_valid_pi(n)
     for s in local_streams(n):
-        pos = drive(OnlineValidator(debug=True), s)
+        v = OnlineValidator()
+        for pos, a in enumerate(s, start=1):
+            if not v.push(a).valid:
+                break
+            assert alphabet_bound_holds(v), s
+        else:
+            pos = None
         assert (pos is None) == (s in valid), (s, pos)
 
 
@@ -137,6 +151,7 @@ def test_stored_candidates_lie_below_their_position(n, seed, source):
         father = arr[q - 2] + 1 if q > 1 else 0
         assert max(v.candidates_for_next()) <= father < q
         assert v.push(a).valid
+        assert alphabet_bound_holds(v)
 
 
 # -- the run commit ------------------------------------------------------------------
@@ -152,12 +167,12 @@ def test_stored_candidates_lie_below_their_position(n, seed, source):
 )
 def test_push_slope_matches_single_pushes(n, seed, bias, run, data):
     prefix = random_valid_pi(n, seed, unary_bias=bias)
-    one_by_one = OnlineValidator(debug=True)
+    one_by_one = OnlineValidator()
     assert drive(one_by_one, prefix) is None
     head = data.draw(st.sampled_from(one_by_one.candidates_for_next()))
     stored = one_by_one._next_stored(prefix[-1] + 1)
     assert drive(one_by_one, range(head, head + run + 1)) is None
-    bulk = OnlineValidator(debug=True)
+    bulk = OnlineValidator()
     assert drive(bulk, prefix) is None
     bulk.push_slope(head, run, stored)
     assert validator_state(bulk) == validator_state(one_by_one)

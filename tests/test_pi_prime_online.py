@@ -8,19 +8,27 @@ from borderval.oracle import enumerate_pi_prime_prefix_witnesses, iter_canonical
 from borderval.pi_online import OnlineValidator, PushAfterFailure, StateInvalid, Verdict
 from borderval.pi_prime_online import SlopeValidator, validate_g_stream
 
-from conftest import drive, validator_state
+from conftest import ReferenceSlopeValidator, drive, validator_state
+
+# every push_slope below runs under its contract checks
+pytestmark = pytest.mark.usefixtures("checked_push_slope")
 
 FIG_PI = [0, 1, 0, 1, 2, 3, 4, 5, 2, 3, 4, 5, 0]
 FIG_PP = [-1, 1, -1, -1, 1, -1, -1, 5, 1, -1, -1, 5, 0]
 
 
-def run(stream, debug=True):
-    v = SlopeValidator(debug=debug)
-    for x in stream:
-        r = v.push(x)
-        if not r.valid:
-            return r.position, v
-    return None, v
+def run(stream):
+    """Push one value at a time up to the first rejection; returns the
+    failure position (or None) and the engine.  The reference engine must
+    reject at the same position, with the same alphabet and, on a valid
+    stream, the same recovered array."""
+    v, ref = SlopeValidator(), ReferenceSlopeValidator()
+    pos = drive(v, stream)
+    assert drive(ref, stream) == pos, stream
+    assert ref.max_alphabet == v.max_alphabet, stream
+    if pos is None:
+        assert ref.recovered_pi() == v.recovered_pi(), stream
+    return pos, v
 
 
 def test_two_minus_ones_recover_unary():
@@ -89,6 +97,21 @@ def test_invariants_and_maximality(k):
             assert all(rec[t] >= pw[t] for t in range(k + 1)), (prefix, rec, pw)
 
 
+@pytest.mark.parametrize("k", range(1, 11))
+def test_max_alphabet_matches_oracle(k):
+    """For every strict prefix of length k, ``max_alphabet`` is the smallest
+    alphabet of a word of length k + 1 with that prefix.  The paper claims a
+    minimal alphabet for pi only; for pi' this is the package's own claim."""
+    smallest: dict[tuple[int, ...], int] = {}
+    for word, pi in iter_canonical_pi(k + 1):
+        prefix = tuple(pi_to_pi_prime(pi)[:k])
+        smallest[prefix] = min(smallest.get(prefix, k + 1), max(word))
+    for prefix, sigma in smallest.items():
+        v = SlopeValidator()
+        assert v.push_many(prefix).valid
+        assert v.max_alphabet == sigma, (prefix, v.max_alphabet, sigma)
+
+
 def test_public_queries_on_settled_states():
     v = SlopeValidator()
     for x in FIG_PP:
@@ -100,7 +123,7 @@ def test_public_queries_on_settled_states():
 
 def test_committed_prefix_never_changes():
     stream = random_valid_pi_prime(400, seed=21)
-    v = SlopeValidator(debug=True)
+    v = SlopeValidator()
     snapshots = []
     for x in stream:
         assert v.push(x).valid
@@ -161,7 +184,7 @@ def test_dominance_budget():
 def test_random_streams_with_shadow_oracles():
     for seed in range(25):
         stream = random_valid_pi_prime(150, seed=seed)
-        pos, v = run(stream, debug=True)  # debug = height/value shadow checks
+        pos, v = run(stream)  # the reference engine as the shadow oracle
         assert pos is None
         rec = v.recovered_pi()
         assert pi_to_pi_prime(rec)[: len(stream)] == stream
@@ -216,13 +239,15 @@ INDEX_SEEDS = (6, 14, 39)  # random_valid_pi_prime(300, seed) makes l > 0 value 
 
 
 def _push_counting_index(stream):
-    """Push with shadow checks; the index never holds more than was pushed."""
-    v = SlopeValidator(debug=True)
+    """Push one value at a time; the index never holds more than was
+    pushed, and the reference engine rejects at the same position."""
+    v = SlopeValidator()
     for pushed, x in enumerate(stream, start=1):
         verdict = v.push(x)
         assert v.stats()["indexed"] <= pushed
         if not verdict.valid:
             break
+    assert drive(ReferenceSlopeValidator(), stream) == v.failed_at
     return v
 
 
@@ -251,8 +276,8 @@ def test_index_caught_up_on_demand(seed):
 def test_long_query_word_reaches_the_index(k):
     word = long_query_word(k)
     pi = compute_pi(word)
-    v = SlopeValidator(debug=True)
-    assert drive(v, pi_to_pi_prime(pi)) is None
+    pos, v = run(pi_to_pi_prime(pi))
+    assert pos is None
     stats = v.stats()
     assert stats["indexed"] > 0
     # one query with l = 2 and a True answer: one op plus 2k - 3 compared symbols
@@ -260,8 +285,8 @@ def test_long_query_word_reaches_the_index(k):
     assert v.recovered_pi()[: len(word)] == pi
 
     near_miss = (1, 2) * k + (1, 3) + (1, 2) * k + (2,)
-    v = SlopeValidator(debug=True)
-    assert drive(v, pi_to_pi_prime(compute_pi(near_miss))) is None
+    pos, v = run(pi_to_pi_prime(compute_pi(near_miss)))
+    assert pos is None
     assert v.stats()["indexed"] == 0
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from borderval.border_core import pi_to_pi_prime
 from borderval.families import random_valid_pi
+from borderval.level_ancestor import JumpPointerLA
 from borderval.oracle import enumerate_valid_pi
 from borderval.pi_online import OnlineValidator
 from borderval.pi_realtime import RealTimeValidator
@@ -35,12 +36,23 @@ def test_fig_letters_match_basic(fig_word):
     assert r.max_alphabet == 3
 
 
+_la = JumpPointerLA.la
+
+
+def _checked_la(self, node, delta):
+    """``JumpPointerLA.la``, checked against the father-chain walk."""
+    j = _la(self, node, delta)
+    assert j == self.naive_la(node, delta), ("level-ancestor mismatch", node, delta)
+    return j
+
+
 @pytest.mark.parametrize("n", range(1, 9))
-def test_exhaustive_equivalence(n):
+def test_exhaustive_equivalence(n, monkeypatch):
+    monkeypatch.setattr(JumpPointerLA, "la", _checked_la)
     valid = enumerate_valid_pi(n)
     for s in local_streams(n):
         p1 = drive(OnlineValidator(), s)
-        p2 = drive(RealTimeValidator(n_max=32, debug=True), s)
+        p2 = drive(RealTimeValidator(n_max=32), s)
         assert p1 == p2, s
         assert (p1 is None) == (s in valid)
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from borderval.border_core import compute_pi, pi_to_pi_prime
@@ -9,6 +11,26 @@ from borderval.pi_succinct import SuccinctValidator, window_distinct_check
 from conftest import drive, local_streams
 
 FIG_PI = [0, 1, 0, 1, 2, 3, 4, 5, 2, 3, 4, 5, 0]
+
+_fill = SuccinctValidator._fill
+
+
+def _checked_fill(self, blk, budget=1 << 30):
+    """``SuccinctValidator._fill``, checking the chain layout of every block
+    that becomes ready: it strictly descends, and each bit-length class
+    holds at most the two slots the layout reserves."""
+    ready, left = _fill(self, blk, budget)
+    if ready:
+        chain = blk.chain
+        assert all(x > y for x, y in zip(chain, chain[1:])), ("chain not descending", chain)
+        classes = Counter(v.bit_length() for v in chain)
+        assert max(classes.values(), default=0) <= 2, ("two slots per class exceeded", chain)
+    return ready, left
+
+
+@pytest.fixture
+def checked_fill(monkeypatch):
+    monkeypatch.setattr(SuccinctValidator, "_fill", _checked_fill)
 
 
 def test_fig_array_matches_realtime(fig_word):
@@ -25,22 +47,24 @@ def test_zero_one_one_rejected():
     assert drive(SuccinctValidator(n_max=16), [0, 1, 1]) == 3
 
 
+@pytest.mark.usefixtures("checked_fill")
 @pytest.mark.parametrize("lazy", [False, True])
 @pytest.mark.parametrize("n", range(1, 9))
 def test_exhaustive_equivalence(n, lazy):
     valid = enumerate_valid_pi(n)
     for s in local_streams(n):
         p1 = drive(OnlineValidator(), s)
-        p2 = drive(SuccinctValidator(n_max=32, lazy=lazy, beta=2, debug=True), s)
+        p2 = drive(SuccinctValidator(n_max=32, lazy=lazy, beta=2), s)
         assert p1 == p2, (s, lazy)
         assert (p1 is None) == (s in valid)
 
 
+@pytest.mark.usefixtures("checked_fill")
 @pytest.mark.parametrize("lazy", [False, True])
 def test_random_streams_both_modes(lazy):
     for rep in range(40):
         arr = random_valid_pi(400, seed=300 + rep)
-        v = SuccinctValidator(n_max=512, lazy=lazy, beta=4, debug=True)
+        v = SuccinctValidator(n_max=512, lazy=lazy, beta=4)
         b = OnlineValidator()
         for a in arr:
             assert v.push(a).valid and b.push(a).valid
@@ -61,6 +85,7 @@ def test_unary_stays_small():
     assert v.max_alphabet == 1
 
 
+@pytest.mark.usefixtures("checked_fill")
 def test_window_capacity_never_reached():
     corpora = [
         compute_pi(fibonacci_word(4000)),
@@ -68,7 +93,7 @@ def test_window_capacity_never_reached():
         random_valid_pi(4000, seed=4),
     ]
     for arr in corpora:
-        v = SuccinctValidator(n_max=8192, debug=True)
+        v = SuccinctValidator(n_max=8192)
         for a in arr:
             assert v.push(a).valid
         assert v.stats()["window_fill_max"] <= 48
