@@ -5,7 +5,8 @@ validator answers after every push, and on acceptance can always exhibit a
 witness word over the smallest possible alphabet.
 """
 
-from borderval import OnlineValidator, RealTimeValidator, SuccinctValidator, compute_pi, word_to_text
+from borderval import OnlineValidator, compute_pi, word_to_text
+from borderval.cli import ENGINES
 
 GOOD = [0, 1, 0, 1, 2, 3, 4, 5, 2, 3, 4, 5, 0]
 BAD = [0, 1, 0, 1, 1]  # 1 is not a legal value at position 5
@@ -26,17 +27,16 @@ for i, a in enumerate(BAD, start=1):
         print(f"rejected at position {verdict.position}")
         break
 
-# three engines, same language, same failure positions
+# every border-array engine configuration: same language, same failure positions
 print("\nengine agreement on the bad stream:")
-for name, eng in [
-    ("basic    ", OnlineValidator()),
-    ("realtime ", RealTimeValidator(n_max=64)),
-    ("succinct ", SuccinctValidator(n_max=64)),
-]:
+for name, spec in ENGINES.items():
+    if "pi" not in spec.kinds:
+        continue
+    eng = spec.make(64)
     pos = None
     for a in BAD:
         r = eng.push(a)
         if not r.valid:
             pos = r.position
             break
-    print(f"  {name} -> invalid at {pos}")
+    print(f"  {name:<13} -> invalid at {pos}")

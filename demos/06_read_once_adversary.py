@@ -8,7 +8,7 @@ exact streaming validation.  Our engines keep the needed state and always
 tell the pair apart.
 """
 
-from borderval import OnlineValidator, RealTimeValidator, SuccinctValidator
+from borderval.cli import ENGINES
 from borderval.families import lowerbound_pair
 
 valid, invalid, pos = lowerbound_pair(28, seed=4)
@@ -17,14 +17,12 @@ print("valid   :", valid)
 print("invalid :", invalid)
 print(f"streams differ only at position {diff + 1}; probe sits at {pos}")
 
-for name, make in [
-    ("basic", lambda: OnlineValidator()),
-    ("realtime", lambda: RealTimeValidator(n_max=64)),
-    ("succinct", lambda: SuccinctValidator(n_max=64)),
-]:
+for name, spec in ENGINES.items():
+    if "pi" not in spec.kinds:
+        continue
     outcomes = []
     for stream in (valid, invalid):
-        v = make()
+        v = spec.make(64)
         failed = None
         for a in stream:
             r = v.push(a)
@@ -32,4 +30,4 @@ for name, make in [
                 failed = r.position
                 break
         outcomes.append("accepts" if failed is None else f"rejects at {failed}")
-    print(f"{name:>9}: {outcomes[0]} / {outcomes[1]}")
+    print(f"{name:>13}: {outcomes[0]} / {outcomes[1]}")

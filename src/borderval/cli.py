@@ -49,8 +49,25 @@ def _read_text(path: str) -> str:
     return text
 
 
+def _int_token(tok: str) -> int:
+    """The integer a token spells as ``[+-]?[0-9]+``; ValueError otherwise.
+    int() alone also reads "1_0" as 10, and digits of other scripts."""
+    digits = tok[1:] if tok[:1] in ("+", "-") else tok
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(tok)
+    return int(tok)
+
+
+def _int_option(text: str) -> int:
+    """argparse type of the integer options: the input files' token rule."""
+    try:
+        return _int_token(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
 def _parse_ints(text: str, path: str) -> list[int]:
-    # int() reads "1_0" as 10: text with an underscore goes to the rescan
+    # on ASCII text without "_", int() accepts exactly the tokens _int_token does
     if "_" not in text:
         try:
             return list(map(int, text.split()))
@@ -60,9 +77,7 @@ def _parse_ints(text: str, path: str) -> list[int]:
     for lineno, line in enumerate(text.splitlines(), start=1):
         for tok in line.split():
             try:
-                if "_" in tok:
-                    raise ValueError(tok)
-                int(tok)
+                _int_token(tok)
             except ValueError:
                 raise CliError(f"{path}:{lineno}: not an integer: {tok!r}") from None
     raise CliError(f"{path}: not an integer")
@@ -94,26 +109,24 @@ def _cmd_compute(args) -> int:
 
 
 class _Engine(NamedTuple):
-    """A ``--engine`` choice: the stream kinds it validates and its
-    constructor from (n_max, lazy)."""
+    """One engine configuration: the stream kinds it validates, its
+    ``validate`` flags, and its constructor from ``n_max``."""
 
     kinds: tuple[str, ...]
-    make: Callable[[int, bool], object]
+    flags: tuple[str, ...]
+    make: Callable[[int], object]
 
 
+# Every engine configuration, under the names the benchmark reports.
 ENGINES = {
-    "basic": _Engine(("pi",), lambda n_max, lazy: OnlineValidator()),
-    "realtime": _Engine(("pi",), lambda n_max, lazy: RealTimeValidator(n_max=n_max)),
-    "succinct": _Engine(("pi",), lambda n_max, lazy: SuccinctValidator(n_max=n_max, lazy=lazy)),
-    "slope": _Engine(("pi_prime", "g"), lambda n_max, lazy: SlopeValidator()),
+    "basic": _Engine(("pi",), ("--engine", "basic"), lambda n_max: OnlineValidator()),
+    "realtime": _Engine(("pi",), ("--engine", "realtime"), lambda n_max: RealTimeValidator(n_max=n_max)),
+    "succinct": _Engine(("pi",), ("--engine", "succinct"), lambda n_max: SuccinctValidator(n_max=n_max)),
+    "succinct_lazy": _Engine(
+        ("pi",), ("--engine", "succinct", "--lazy-copy"), lambda n_max: SuccinctValidator(n_max=n_max, lazy=True)
+    ),
+    "slope": _Engine(("pi_prime", "g"), ("--engine", "slope"), lambda n_max: SlopeValidator()),
 }
-
-
-def _engine(name: str, kind: str) -> _Engine:
-    spec = ENGINES[name]
-    if kind not in spec.kinds:
-        raise CliError(f"engine {name} validates {' or '.join(spec.kinds)} streams only")
-    return spec
 
 
 def _push_each(engine, values) -> Verdict:
@@ -130,7 +143,12 @@ def _push_each(engine, values) -> Verdict:
 
 
 def _cmd_validate(args) -> int:
-    spec = _engine(args.engine, args.kind)
+    flags = ("--engine", args.engine, "--lazy-copy") if args.lazy_copy else ("--engine", args.engine)
+    spec = next((e for e in ENGINES.values() if e.flags == flags), None)
+    if spec is None:
+        raise CliError(f"no engine configuration matches {' '.join(flags)}")
+    if args.kind not in spec.kinds:
+        raise CliError(f"engine {args.engine} validates {' or '.join(spec.kinds)} streams only")
     if args.n_max < 1:
         raise CliError(f"--n-max: must be at least 1, got {args.n_max}")
     values = _parse_ints(_read_text(args.input), args.input)
@@ -141,7 +159,7 @@ def _cmd_validate(args) -> int:
     if args.kind == "g":
         verdict, engine = validate_g_stream(values)
     else:
-        engine = spec.make(args.n_max, args.lazy_copy)
+        engine = spec.make(args.n_max)
         verdict = _push_each(engine, values) if args.instrument else engine.push_many(values)
     wall = time.perf_counter() - t0
 
@@ -241,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="stream an array through a validator")
     p.add_argument("--kind", choices=["pi", "pi_prime", "g"], required=True)
-    p.add_argument("--engine", choices=list(ENGINES), required=True)
+    p.add_argument("--engine", choices=list(dict.fromkeys(e.flags[1] for e in ENGINES.values())), required=True)
     p.add_argument("--emit-pi", action="store_true", help="print the recovered border array")
     p.add_argument("--emit-witness", action="store_true", help="print a witness word")
     p.add_argument(
@@ -249,8 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print every stats() counter of the engine; pi and pi_prime streams go through one push() per value",
     )
-    p.add_argument("--lazy-copy", action="store_true")
-    p.add_argument("--n-max", type=int, default=2**32, help="longest stream accepted; sizes realtime and succinct")
+    p.add_argument("--lazy-copy", action="store_true", help="lazy copying (succinct only)")
+    p.add_argument("--n-max", type=_int_option, default=2**32, help="longest stream accepted; sizes realtime and succinct")
     p.add_argument("input", help="array file or - for stdin")
     p.set_defaults(func=_cmd_validate)
 
@@ -260,9 +278,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["unary", "fibonacci", "thue_morse", "random_word", "random_valid_pi", "lowerbound_pair"],
         required=True,
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma", type=int, default=2)
+    p.add_argument("--n", type=_int_option, required=True)
+    p.add_argument("--seed", type=_int_option, default=0)
+    p.add_argument("--sigma", type=_int_option, default=2)
     p.add_argument("--unary-bias", type=float, default=0.0)
     p.add_argument("--emit", choices=["auto", "word", "pi", "pi_prime"], default="auto")
     p.add_argument("--out", help="output prefix (required for lowerbound_pair)")

@@ -78,10 +78,6 @@ class SlopeValidator:
 
     # -- array views ---------------------------------------------------------
 
-    @property
-    def n(self) -> int:
-        return len(self._pp) - 1
-
     def recovered_pi(self) -> list[int]:
         """The maximal consistent border array, positions 1..n+1."""
         if self.failed_at is not None:

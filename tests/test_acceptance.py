@@ -21,6 +21,7 @@ from borderval.border_core import (
     pi_prime_to_pi,
     pi_to_pi_prime,
 )
+from borderval.cli import ENGINES
 from borderval.families import (
     fibonacci_word,
     long_query_word,
@@ -50,6 +51,8 @@ pytestmark = pytest.mark.acceptance
 C7_CORE_OPS_MAX = 8
 C8_RATIO_TOL = 0.25
 C9_OPS_COEFF = 1.0
+
+PI_ENGINES = {name: e.make for name, e in ENGINES.items() if "pi" in e.kinds}
 
 
 def _report(number, name, detail):
@@ -98,12 +101,8 @@ def test_criterion_3_pi_validator_exactness():
         valid = enumerate_valid_pi(n)
         for s in local_streams(n):
             streams += 1
-            engines = [
-                OnlineValidator(),
-                RealTimeValidator(n_max=32),
-                SuccinctValidator(n_max=32),
-            ]
-            positions = [drive(e, s) for e in engines]
+            engines = {name: make(32) for name, make in PI_ENGINES.items()}
+            positions = [drive(e, s) for e in engines.values()]
             if len(set(positions)) != 1:
                 disagreements += 1
                 continue
@@ -112,13 +111,13 @@ def test_criterion_3_pi_validator_exactness():
                 disagreements += 1
                 continue
             if accepted:
-                basic = engines[0]
+                basic = engines["basic"]
                 w = basic.witness()
                 if tuple(compute_pi(w)) != s or not is_canonical(w):
                     disagreements += 1
                 elif basic.max_alphabet != min_alphabet_bruteforce(list(s)):
                     disagreements += 1
-                elif engines[1].witness() != w or engines[2].witness() != w:
+                elif any(e.witness() != w for e in engines.values()):
                     disagreements += 1
     assert disagreements == 0
     _report(3, "pi validator exactness",
@@ -321,16 +320,11 @@ def test_criterion_9_pi_prime_time_bound():
 
 
 def test_criterion_10_lowerbound_pairs():
-    engines = (
-        lambda n: OnlineValidator(),
-        lambda n: RealTimeValidator(n_max=2 * n),
-        lambda n: SuccinctValidator(n_max=2 * n),
-    )
     for seed in range(100):
         n = 6 + (seed * 2) % 195
         valid, invalid, pos = lowerbound_pair(n, seed)
-        for make in engines:
-            assert drive(make(n), valid) is None, (seed, "valid member rejected")
-            assert drive(make(n), invalid) == pos, (seed, "wrong failure position")
+        for make in PI_ENGINES.values():
+            assert drive(make(2 * n), valid) is None, (seed, "valid member rejected")
+            assert drive(make(2 * n), invalid) == pos, (seed, "wrong failure position")
     _report(10, "lower-bound pairs",
             "100 pairs (n<=200): every engine accepts exactly the declared member")

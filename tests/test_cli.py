@@ -1,4 +1,6 @@
+import importlib.util
 import io
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -6,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import borderval
-from borderval import OnlineValidator, RealTimeValidator, SlopeValidator, SuccinctValidator, families
-from borderval.cli import EXIT_INVALID, EXIT_USAGE, EXIT_VALID, main
+from borderval import families
+from borderval.cli import ENGINES, EXIT_INVALID, EXIT_USAGE, EXIT_VALID, main
 
 
 def run_cli(argv, stdin_text=""):
@@ -23,6 +25,9 @@ def run_cli(argv, stdin_text=""):
 
 FIG_WORD = "aabaabaaabaac"
 FIG_PI = "0 1 0 1 2 3 4 5 2 3 4 5 0"
+
+PI_FLAGS = [e.flags for e in ENGINES.values() if "pi" in e.kinds]
+KIND_ENGINE = [(kind, name) for name, e in ENGINES.items() for kind in e.kinds]
 
 
 def test_compute_pi():
@@ -81,20 +86,21 @@ def test_validate_usage_errors():
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("kind,engine", [("pi", "basic"), ("pi", "realtime"), ("pi_prime", "slope")])
+def test_validate_rejects_lazy_copy_outside_succinct(kind, engine):
+    code, out, err = run_cli(["validate", "--kind", kind, "--engine", engine, "--lazy-copy", "-"], "0 1 0")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: no engine configuration matches --engine {engine} --lazy-copy\n"
+
+
 def test_verdict_line_identical_across_engines():
-    lines = {}
-    for engine in ("basic", "realtime", "succinct"):
-        code, out, _ = run_cli(["validate", "--kind", "pi", "--engine", engine, "-"], FIG_PI)
-        assert code == EXIT_VALID
-        lines[engine] = [l for l in out.splitlines() if l.startswith("verdict=")]
-    assert lines["basic"] == lines["realtime"] == lines["succinct"]
-    for engine in ("basic", "realtime", "succinct"):
-        code, out, _ = run_cli(
-            ["validate", "--kind", "pi", "--engine", engine, "-"], "0 1 1"
-        )
-        assert code == EXIT_INVALID
-        lines[engine] = [l for l in out.splitlines() if l.startswith("verdict=")]
-    assert lines["basic"] == lines["realtime"] == lines["succinct"]
+    for stream, expected in ((FIG_PI, EXIT_VALID), ("0 1 1", EXIT_INVALID)):
+        lines = set()
+        for flags in PI_FLAGS:
+            code, out, _ = run_cli(["validate", "--kind", "pi", *flags, "-"], stream)
+            assert code == expected
+            lines.add(tuple(l for l in out.splitlines() if l.startswith("verdict=")))
+        assert len(lines) == 1
 
 
 def test_validate_slope_emit_pi():
@@ -121,8 +127,8 @@ def test_gen_unary():
 def test_gen_random_valid_accepted_by_all_engines():
     code, out, _ = run_cli(["gen", "--family", "random_valid_pi", "--n", "500", "--seed", "7"])
     assert code == EXIT_VALID
-    for engine in ("basic", "realtime", "succinct"):
-        rc, _, _ = run_cli(["validate", "--kind", "pi", "--engine", engine, "-"], out)
+    for flags in PI_FLAGS:
+        rc, _, _ = run_cli(["validate", "--kind", "pi", *flags, "-"], out)
         assert rc == EXIT_VALID
 
 
@@ -176,20 +182,18 @@ def _fib_streams():
     return {"pi": pi[:3000], "pi_prime": pi_to_pi_prime(pi)[:3000]}
 
 
-@pytest.mark.parametrize(
-    "kind,engine",
-    [("pi", "basic"), ("pi", "realtime"), ("pi", "succinct"), ("pi_prime", "slope"), ("g", "slope")],
-)
+@pytest.mark.parametrize("kind,engine", KIND_ENGINE)
 def test_validate_enforces_n_max(kind, engine):
     streams = _fib_streams()
     values = streams["pi"] if kind == "pi" else streams["pi_prime"]
     if kind == "g":
         values = [0] + [v + 1 for v in values]
     text = " ".join(map(str, values))
-    code, out, err = run_cli(["validate", "--kind", kind, "--engine", engine, "--n-max", "4", "-"], text)
+    argv = ["validate", "--kind", kind, *ENGINES[engine].flags, "--n-max"]
+    code, out, err = run_cli([*argv, "4", "-"], text)
     assert code == EXIT_USAGE and err.startswith("error:") and "--n-max 4" in err
     assert out == ""
-    code, out, _ = run_cli(["validate", "--kind", kind, "--engine", engine, "--n-max", str(len(values)), "-"], text)
+    code, out, _ = run_cli([*argv, str(len(values)), "-"], text)
     assert code == EXIT_VALID and "verdict=valid" in out
 
 
@@ -224,26 +228,17 @@ def test_validate_g_instrument_counts_the_suffix_index():
 
 
 @pytest.mark.parametrize(
-    "kind,flags,make",
-    [
-        ("pi", ["--engine", "basic"], lambda n: OnlineValidator()),
-        ("pi", ["--engine", "realtime"], lambda n: RealTimeValidator(n_max=n)),
-        ("pi", ["--engine", "succinct"], lambda n: SuccinctValidator(n_max=n)),
-        ("pi", ["--engine", "succinct", "--lazy-copy"], lambda n: SuccinctValidator(n_max=n, lazy=True)),
-        ("pi_prime", ["--engine", "slope"], lambda n: SlopeValidator()),
-        ("g", ["--engine", "slope"], lambda n: SlopeValidator()),
-    ],
-    ids=["basic", "realtime", "succinct", "succinct_lazy", "slope", "g"],
+    "kind,name", KIND_ENGINE, ids=[name if kind == ENGINES[name].kinds[0] else kind for kind, name in KIND_ENGINE]
 )
-def test_instrument_prints_every_stats_key(kind, flags, make):
+def test_instrument_prints_every_stats_key(kind, name):
     # seed 11 reaches the slope engine's suffix index, so every slope key moves
     values = families.random_valid_pi(2000, 11) if kind == "pi" else families.random_valid_pi_prime(2000, 11)
-    engine = make(len(values))
+    engine = ENGINES[name].make(len(values))
     for v in values:
         engine.push(v)
     stream = [0] + [v + 1 for v in values] if kind == "g" else values
     code, out, _ = run_cli(
-        ["validate", "--kind", kind, *flags, "--n-max", str(len(stream)), "--instrument", "-"],
+        ["validate", "--kind", kind, *ENGINES[name].flags, "--n-max", str(len(stream)), "--instrument", "-"],
         " ".join(map(str, stream)),
     )
     assert code == EXIT_VALID
@@ -252,25 +247,17 @@ def test_instrument_prints_every_stats_key(kind, flags, make):
     assert lines[4:-1] == [f"{key}={value}" for key, value in engine.stats().items()]
 
 
-@pytest.mark.parametrize(
-    "kind,flags,cls",
-    [
-        ("pi", ["--engine", "basic"], OnlineValidator),
-        ("pi", ["--engine", "realtime"], RealTimeValidator),
-        ("pi", ["--engine", "succinct"], SuccinctValidator),
-        ("pi", ["--engine", "succinct", "--lazy-copy"], SuccinctValidator),
-        ("pi_prime", ["--engine", "slope"], SlopeValidator),
-    ],
-    ids=["basic", "realtime", "succinct", "succinct_lazy", "slope"],
-)
-def test_instrument_pushes_one_value_at_a_time(kind, flags, cls, monkeypatch):
+@pytest.mark.parametrize("name", ENGINES)
+def test_instrument_pushes_one_value_at_a_time(name, monkeypatch):
     # a span wrapping push() must see every pushed value, and the verdict
     # must be the one a plain run (one push_many call) reports
+    spec = ENGINES[name]
+    kind, cls = spec.kinds[0], type(spec.make(500))
     values = families.random_valid_pi(500, 11) if kind == "pi" else families.random_valid_pi_prime(500, 11)
     broken = values[:300] + [values[299] + 2] + values[301:]
     for stream, pushed, verdict in ((values, 500, "verdict=valid"), (broken, 301, "verdict=invalid@301")):
         text = " ".join(map(str, stream))
-        argv = ["validate", "--kind", kind, *flags, "--n-max", "500"]
+        argv = ["validate", "--kind", kind, *spec.flags, "--n-max", "500"]
         _, plain, _ = run_cli([*argv, "-"], text)
         calls = []
         push = cls.push
@@ -288,6 +275,24 @@ def test_gen_rejects_non_positive_sigma(sigma):
     code, out, err = run_cli(["gen", "--family", "random_word", "--n", "5", "--sigma", sigma])
     assert code == EXIT_USAGE and err == f"error: --sigma: must be at least 1, got {sigma}\n"
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,option,value",
+    [
+        (["gen", "--family", "unary"], "--n", "1_0"),
+        (["gen", "--family", "unary"], "--n", "\uff11\uff10"),  # fullwidth digits, which int() reads as 10
+        (["gen", "--family", "random_word", "--n", "3"], "--seed", "1_1"),
+        (["gen", "--family", "random_word", "--n", "3"], "--sigma", "0_2"),
+        (["validate", "--kind", "pi", "--engine", "basic", "-"], "--n-max", "1_0"),
+    ],
+    ids=["n", "n_fullwidth", "seed", "sigma", "n_max"],
+)
+def test_integer_options_take_the_input_token_rule(argv, option, value):
+    # the options read integers as the input files do: [+-]?[0-9]+, no "_" digit groups
+    code, out, err = run_cli([*argv, option, value], "0 1 0")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.splitlines()[-1].endswith(f"argument {option}: not an integer: {value!r}")
 
 
 @pytest.mark.parametrize("n_max", ["0", "-5"])
@@ -314,3 +319,24 @@ def test_cli_import_leaves_dataclasses_out():
         [sys.executable, "-c", probe], env={"PYTHONPATH": src}, capture_output=True, text=True, check=True
     ).stdout
     assert out == "False\n"
+
+
+def test_bench_engines_match_the_table(monkeypatch):
+    # the benchmark keeps its own engine list; it must name, flag and build
+    # each configuration as the table does (imported without writing bytecode)
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_workloads", root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses looks its module up
+    spec.loader.exec_module(workloads)
+    assert {eng.name for eng in workloads.ENGINES} == set(ENGINES)
+    for eng in workloads.ENGINES:
+        table = ENGINES[eng.name]
+        assert (eng.kind, eng.flags) == (table.kinds[0], table.flags)
+        built, made = eng.make(), table.make(2**32)  # the CLI's default --n-max
+        assert type(built) is type(made)
+        assert getattr(built, "lazy", None) == getattr(made, "lazy", None)
+    metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    names = {m["name"].removeprefix("validate_s.") for m in metrics if m["name"].startswith("validate_s.")}
+    assert names == set(ENGINES)

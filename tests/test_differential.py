@@ -15,21 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borderval.border_core import compute_pi, pi_to_pi_prime
+from borderval.cli import ENGINES
 from borderval.families import fibonacci_word, long_query_word, random_valid_pi, random_word
 from borderval.pi_online import OnlineValidator, PushAfterFailure, Verdict
 from borderval.pi_prime_online import SlopeValidator
-from borderval.pi_realtime import RealTimeValidator
 from borderval.pi_succinct import SuccinctValidator
 
 from conftest import ReferenceSlopeValidator
 from test_pi_prime_online import mutated_pi_prime_streams
 
-ENGINES = {  # compared against OnlineValidator (basic)
-    "realtime": lambda n: RealTimeValidator(n_max=n),
-    "succinct": lambda n: SuccinctValidator(n_max=n),
-    "succinct_lazy_2": lambda n: SuccinctValidator(n_max=n, lazy=True, beta=2),
-    "succinct_lazy_8": lambda n: SuccinctValidator(n_max=n, lazy=True, beta=8),
-}
+# every engine configuration, and lazy copying with a budget of 2 besides its default 8
+LAZY_2 = {"succinct_lazy_2": lambda n: SuccinctValidator(n_max=n, lazy=True, beta=2)}
+ALL_ENGINES = {name: e.make for name, e in ENGINES.items()} | LAZY_2
+PI_ENGINES = {name: e.make for name, e in ENGINES.items() if "pi" in e.kinds} | LAZY_2
 
 
 @st.composite
@@ -82,7 +80,7 @@ def test_engines_agree(stream):
     accepted = expected[-1].valid
     if accepted:
         assert compute_pi(basic.witness()) == stream
-    for name, make in ENGINES.items():
+    for name, make in PI_ENGINES.items():
         engine = make(len(stream))
         assert run(engine, stream) == expected, name
         if accepted:
@@ -92,9 +90,6 @@ def test_engines_agree(stream):
 
 
 # -- push_many against push ---------------------------------------------------------
-
-PUSH_MANY_ENGINES = {"basic": lambda n: OnlineValidator(), **ENGINES}
-
 
 def push_one_by_one(engine, stream):
     for a in stream:
@@ -143,7 +138,7 @@ def chunk_cuts(data, stream):
 @given(mutated_streams(), st.data())
 def test_push_many_matches_push(stream, data):
     cuts = chunk_cuts(data, stream)
-    for name, make in PUSH_MANY_ENGINES.items():
+    for make in PI_ENGINES.values():
         check_push_many_matches_push(lambda: make(len(stream)), stream, cuts)
 
 
@@ -180,9 +175,6 @@ def test_slope_matches_reference(case):
 def test_slope_matches_reference_on_words(word):
     stream = pi_to_pi_prime(compute_pi(word))[:2000]
     assert slope_report(SlopeValidator, stream) == slope_report(ReferenceSlopeValidator, stream)
-
-
-ALL_ENGINES = {**PUSH_MANY_ENGINES, "slope": lambda n: SlopeValidator()}
 
 
 @pytest.mark.parametrize("name", ALL_ENGINES)

@@ -22,18 +22,12 @@ import pytest
 
 from borderval import families
 from borderval.border_core import compute_pi, pi_to_pi_prime
-from borderval.cli import main
+from borderval.cli import ENGINES, main
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 N = 300
 
-CONFIGS = {  # name -> (kind, validate flags)
-    "basic": ("pi", ["--engine", "basic", "--emit-witness"]),
-    "realtime": ("pi", ["--engine", "realtime", "--emit-witness"]),
-    "succinct": ("pi", ["--engine", "succinct", "--emit-witness"]),
-    "succinct_lazy": ("pi", ["--engine", "succinct", "--lazy-copy", "--emit-witness"]),
-    "slope": ("pi_prime", ["--engine", "slope", "--emit-pi"]),
-}
+EMIT = {"pi": "--emit-witness", "pi_prime": "--emit-pi"}  # what a valid stream of each kind reports
 
 
 def _mutated(values, pos, value):
@@ -83,9 +77,10 @@ def _without_wall(text: str) -> str:
 
 def _cases():
     streams = _streams()
-    for config, (kind, flags) in CONFIGS.items():
+    for config, engine in ENGINES.items():
+        kind = engine.kinds[0]
         for stream, values in streams[kind].items():
-            argv = ["validate", "--kind", kind, "--instrument", *flags, "-"]
+            argv = ["validate", "--kind", kind, "--instrument", *engine.flags, EMIT[kind], "-"]
             yield f"validate/{config}/{stream}", argv, " ".join(map(str, values))
     g = [0] + [v + 1 for v in streams["pi_prime"]["random"]]
     yield "validate/g/random", ["validate", "--kind", "g", "--engine", "slope", "--instrument", "--emit-pi", "-"], " ".join(map(str, g))
