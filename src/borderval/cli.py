@@ -66,6 +66,17 @@ def _int_option(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
 
 
+def _float_option(text: str) -> float:
+    """argparse type of --unary-bias: float() on ASCII text without "_";
+    float() alone also reads "0.2_5" as 0.25, and digits of other scripts."""
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+
+
 def _parse_ints(text: str, path: str) -> list[int]:
     # on ASCII text without "_", int() accepts exactly the tokens _int_token does
     if "_" not in text:
@@ -151,6 +162,10 @@ def _cmd_validate(args) -> int:
         raise CliError(f"engine {args.engine} validates {' or '.join(spec.kinds)} streams only")
     if args.n_max < 1:
         raise CliError(f"--n-max: must be at least 1, got {args.n_max}")
+    if args.emit_witness and args.kind != "pi":
+        raise CliError(f"--emit-witness applies to --kind pi only, not {args.kind}")
+    if args.emit_pi and args.kind == "pi":
+        raise CliError(f"--emit-pi applies to --kind pi_prime or g only, not {args.kind}")
     values = _parse_ints(_read_text(args.input), args.input)
     if len(values) > args.n_max:
         raise CliError(f"{args.input}: {len(values)} values exceed --n-max {args.n_max}")
@@ -168,10 +183,10 @@ def _cmd_validate(args) -> int:
         lines.append(f"verdict=valid n={len(values)} min_alphabet={verdict.max_alphabet}")
     else:
         lines.append(f"verdict=invalid@{verdict.position} n={len(values)}")
-    if verdict.valid and args.emit_pi and args.kind in ("pi_prime", "g"):
+    if verdict.valid and args.emit_pi:
         rec = engine.recovered_pi()
         lines.append("recovered_pi=" + " ".join(str(v) for v in rec))
-    if verdict.valid and args.emit_witness and args.kind == "pi":
+    if verdict.valid and args.emit_witness:
         lines.append("witness=" + " ".join(str(s) for s in engine.witness()))
     if args.instrument:
         lines.extend(f"{key}={value}" for key, value in engine.stats().items())
@@ -281,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_option, required=True)
     p.add_argument("--seed", type=_int_option, default=0)
     p.add_argument("--sigma", type=_int_option, default=2)
-    p.add_argument("--unary-bias", type=float, default=0.0)
+    p.add_argument("--unary-bias", type=_float_option, default=0.0)
     p.add_argument("--emit", choices=["auto", "word", "pi", "pi_prime"], default="auto")
     p.add_argument("--out", help="output prefix (required for lowerbound_pair)")
     p.set_defaults(func=_cmd_gen)

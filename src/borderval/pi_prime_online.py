@@ -175,48 +175,47 @@ class SlopeValidator:
                             ops += count
                         i = head + 1
                         stored = next_stored(cand + count + 1)
-                        k = len(stored) - 2  # stored ends with the father, not a candidate
-                        cand = stored[k] if k >= 0 else 0
-                        if not cand:  # 0 is final: feed it now
-                            push_slope(0, 0, stored)
-                        continue  # the fresh slope may end immediately: height first
-
-                    # value query: A'[i..n] == A'[cand..cand+(n-i)], decomposed
-                    # against the arrival anchor q = anchor + i
-                    if i > n:
-                        break
-                    length = n - i
-                    l = anchor + i - cand
-                    assert l >= 0, "candidate above the arrival-start value"
-                    ops += 2
-                    if l >= length:
-                        for t in range(length + 1):
-                            ops += 1
-                            if pp[i + t] != pp[cand + t]:
-                                matched = False
-                                break
+                        # stored ends with the father, not a candidate: the
+                        # step below moves to the fresh slope's first one
+                        k = len(stored) - 1
+                    else:
+                        # value query: A'[i..n] == A'[cand..cand+(n-i)], decomposed
+                        # against the arrival anchor q = anchor + i
+                        if i > n:
+                            break
+                        length = n - i
+                        l = anchor + i - cand
+                        assert l >= 0, "candidate above the arrival-start value"
+                        ops += 2
+                        if l >= length:
+                            for t in range(length + 1):
+                                ops += 1
+                                if pp[i + t] != pp[cand + t]:
+                                    matched = False
+                                    break
+                            else:
+                                matched = True
                         else:
                             matched = True
-                    else:
-                        matched = True
-                        for t in range(l):
-                            ops += 1
-                            if pp[i + t] != pp[cand + t]:
+                            for t in range(l):
+                                ops += 1
+                                if pp[i + t] != pp[cand + t]:
+                                    matched = False
+                                    break
+                            if matched and pp[n] != pp[cand + length]:
                                 matched = False
-                                break
-                        if matched and pp[n] != pp[cand + length]:
-                            matched = False
-                        if matched and l > 0:
-                            sfx = self._sfx
-                            for value in pp[sfx.size + 1 : n]:  # catch up from the stored stream
-                                sfx.append(value)
-                            matched = sfx.is_suffix_prefix_of_suffix(i, l, n - 1)
-                    if matched:
-                        break
+                            if matched and l > 0:
+                                sfx = self._sfx
+                                for value in pp[sfx.size + 1 : n]:  # catch up from the stored stream
+                                    sfx.append(value)
+                                matched = sfx.is_suffix_prefix_of_suffix(i, l, n - 1)
+                        if matched:
+                            break
+                        if not cand:  # no smaller candidate: reject
+                            return self._fail(n)
 
-                    # step down to the next smaller candidate; below 0 rejects
-                    if not cand:
-                        return self._fail(n)
+                    # step down to the next smaller candidate; the loop asks
+                    # the height query first, as a fresh slope may end at once
                     k -= 1
                     cand = stored[k] if k >= 0 else 0
                     if not cand:  # 0 is final: feed it now

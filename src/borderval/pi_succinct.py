@@ -82,7 +82,6 @@ class SuccinctValidator(WitnessTracker):
         self._prev_a = -1  # A[0] = -1 makes the father of position 1 zero
         # block pools: (alpha, window) -> blocks in creation order
         self._groups: dict[tuple[int, int], list[_Block]] = {}
-        self._blocks_created = 0
         # lazy copying
         self._waiting: dict[int, deque[_Block]] = {}
         self._copylist: dict[int, deque[_Block]] = {}
@@ -91,7 +90,6 @@ class SuccinctValidator(WitnessTracker):
         self._marked = 0
         self._busy = 0
         self._chase_max = 0
-        self._window_fill_max = 0
 
     # -- record plumbing ------------------------------------------------------
 
@@ -178,9 +176,6 @@ class SuccinctValidator(WitnessTracker):
         removed = self._x_value(value)
         blk = _Block(value, src, removed, deadline=(window + 2) << alpha)
         group.append(blk)
-        self._blocks_created += 1
-        if len(group) > self._window_fill_max:
-            self._window_fill_max = len(group)
         if self.lazy:
             self._waiting.setdefault(alpha, deque()).append(blk)
         else:
@@ -195,9 +190,12 @@ class SuccinctValidator(WitnessTracker):
         w = blk.src_value
         if w:
             src = self._sf_block(blk.value)
-            if not src.ready:
-                # the source sits no later in the schedule; stall this tick
-                return False, 0
+            assert src.ready, (
+                "source block not filled: a class-g block's source is the block "
+                "recorded at its value v < 2^g, created earlier in a class no "
+                "larger, so the ticks and finish() (both lowest class first) "
+                "fill it first"
+            )
             chain = [w] + src.chain
             flags = (src.flags << 1) | 1  # inherit S(w) flags, add w itself
         else:
@@ -261,11 +259,9 @@ class SuccinctValidator(WitnessTracker):
                 self._copylist.setdefault(gamma, deque()).extend(wl)
                 wl.clear()
         self._marked = 0
-        for lst in self._copylist.values():
-            while lst:
-                done, _ = self._fill(lst[0])
-                if done:
-                    lst.popleft()
+        for _, lst in sorted(self._copylist.items()):  # lowest class first, as the ticks
+            while lst:  # an unbounded fill always completes
+                self._fill(lst.popleft())
         self._busy = 0
 
     # -- the push ------------------------------------------------------------------
@@ -330,9 +326,12 @@ class SuccinctValidator(WitnessTracker):
         ord_bits = (WINDOW_CAP - 1).bit_length()
         per_position = n * (2 * sigma_bits + b_bits + kx_bits + ord_bits)
 
-        used_blocks = 0
+        # groups only grow: their sizes count every block ever created
+        used_blocks = blocks_created = window_fill_max = 0
         for (alpha, _), group in self._groups.items():
             used_blocks += len(group) * _block_bits(alpha)
+            blocks_created += len(group)
+            window_fill_max = max(window_fill_max, len(group))
         allocated_blocks = 0
         for alpha in range(1, max(1, n.bit_length()) + 1):
             windows = (n >> alpha) + 1
@@ -345,13 +344,13 @@ class SuccinctValidator(WitnessTracker):
         return {
             "memory_bits": per_position + used_blocks + scheduler + 4 * nm.bit_length(),
             "memory_bits_allocated": per_position + allocated_blocks,
-            "blocks_created": self._blocks_created,
+            "blocks_created": blocks_created,
             "chase_max": self._chase_max,
             "per_position": per_position,
             "blocks_used": used_blocks,
             "blocks_allocated_formula": allocated_blocks,
             "scheduler": scheduler,
-            "window_fill_max": self._window_fill_max,
+            "window_fill_max": window_fill_max,
             "total_ops": n + (self.failed_at is not None),
         }
 

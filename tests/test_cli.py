@@ -93,6 +93,16 @@ def test_validate_rejects_lazy_copy_outside_succinct(kind, engine):
     assert err == f"error: no engine configuration matches --engine {engine} --lazy-copy\n"
 
 
+@pytest.mark.parametrize("kind,engine", KIND_ENGINE)
+def test_validate_rejects_emit_flag_of_the_other_kind(kind, engine, tmp_path):
+    # refused before the input is read: the input path does not exist
+    flag, allowed = ("--emit-pi", "pi_prime or g") if kind == "pi" else ("--emit-witness", "pi")
+    argv = ["validate", "--kind", kind, *ENGINES[engine].flags, flag, str(tmp_path / "missing")]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {flag} applies to --kind {allowed} only, not {kind}\n"
+
+
 def test_verdict_line_identical_across_engines():
     for stream, expected in ((FIG_PI, EXIT_VALID), ("0 1 1", EXIT_INVALID)):
         lines = set()
@@ -293,6 +303,16 @@ def test_integer_options_take_the_input_token_rule(argv, option, value):
     code, out, err = run_cli([*argv, option, value], "0 1 0")
     assert (code, out) == (EXIT_USAGE, "")
     assert err.splitlines()[-1].endswith(f"argument {option}: not an integer: {value!r}")
+
+
+@pytest.mark.parametrize("value", ["0.2_5", "\uff10.\uff15"], ids=["underscore", "fullwidth"])
+def test_unary_bias_takes_ascii_without_digit_groups(value):
+    # float() reads "0.2_5" as 0.25 and fullwidth digits as ASCII ones
+    argv = ["gen", "--family", "random_valid_pi", "--n", "3", "--seed", "1", "--unary-bias", value]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.count("argument --unary-bias:") == 1
+    assert err.splitlines()[-1].endswith(f"argument --unary-bias: not a number: {value!r}")
 
 
 @pytest.mark.parametrize("n_max", ["0", "-5"])

@@ -13,6 +13,8 @@ from borderval.oracle import (
     min_alphabet_bruteforce,
 )
 
+from conftest import local_streams
+
 
 def test_canonical_enumeration_counts():
     # Bell numbers: one canonical word per set partition
@@ -46,24 +48,13 @@ def test_min_alphabet_examples():
     assert min_alphabet_bruteforce([0, 0, 0, 0]) == 2
     assert min_alphabet_bruteforce([0, 1, 1]) is None
     assert min_alphabet_bruteforce([0]) == 1
+    assert min_alphabet_bruteforce([]) == 0  # the empty word
 
 
 def test_min_alphabet_none_iff_invalid():
     for n in range(1, 8):
         valid = enumerate_valid_pi(n)
-
-        def streams(n):
-            def rec(pref):
-                if len(pref) == n:
-                    yield tuple(pref)
-                    return
-                hi = (pref[-1] + 1) if pref else 0
-                for v in range(hi + 1):
-                    yield from rec(pref + [v])
-
-            yield from rec([])
-
-        for s in streams(n):
+        for s in local_streams(n):
             got = min_alphabet_bruteforce(list(s))
             assert (got is None) == (s not in valid)
 
@@ -74,18 +65,31 @@ def test_valid_sets_strict_subset_of_shapes():
     for n in (3, 5, 7):
         valid = enumerate_valid_pi(n)
         assert all(is_border_array_shaped(a) for a in valid)
-        shaped = set()
-
-        def rec(pref):
-            if len(pref) == n:
-                shaped.add(tuple(pref))
-                return
-            hi = (pref[-1] + 1) if pref else 0
-            for v in range(hi + 1):
-                rec(pref + [v])
-
-        rec([])
+        shaped = set(local_streams(n))
         assert valid < shaped  # strictly fewer valid arrays than shapes
+
+
+def _words_by_pi(n):
+    """Every canonical word of length n from the unpruned walk, by its pi."""
+    out = {}
+    for word, pi in iter_canonical_pi(n):
+        out.setdefault(tuple(pi), []).append(word)
+    return out
+
+
+def test_min_alphabet_is_least_max_symbol_of_unpruned_words():
+    for n in range(1, 9):
+        for a, words in _words_by_pi(n).items():
+            assert min_alphabet_bruteforce(a) == min(max(w) for w in words), a
+
+
+def test_target_walk_yields_exactly_the_matching_words():
+    for n in range(1, 8):
+        by_pi = _words_by_pi(n)
+        for a in local_streams(n):  # invalid shapes must yield no word
+            got = list(iter_canonical_pi(n, target=a))
+            assert [w for w, _ in got] == by_pi.get(a, []), a
+            assert all(tuple(pi) == a for _, pi in got)
 
 
 def test_pi_prime_prefix_witnesses():
@@ -97,6 +101,7 @@ def test_pi_prime_prefix_witnesses():
 
 def test_alphabet_bound_small():
     # minimal alphabet never exceeds floor(log2 n) + 2 (checked exhaustively)
+    assert max_min_alphabet(0) == 0  # the empty word
     for n in (2, 4, 8, 10):
         bound = int(math.log2(n)) + 2
         assert max_min_alphabet(n) <= bound
