@@ -1,46 +1,28 @@
 """Real-time border-array validation in packed sublinear storage.
 
-Same accept/reject language, witness letters and alphabet count as the other
-two validators, but the per-position state is a handful of narrow fields
-instead of word-sized candidate data:
+Same language, witness letters and alphabet count as the other engines, but
+each position keeps narrow fields only: letter and path alphabet, b =
+bitlen(sf) of its strict father value sf (sf(x) = f[x] when A[x] < f[x],
+else sf(f[x]); 0 = none), kx = chain index of the candidate it removes, and
+ord = its sf block's index in a window group.  Word-sized values live in
+blocks, one per distinct strict-father value v per window of 2^bitlen(v)
+positions (at most 48 per window, asserted): v's strict ancestor chain, at
+most two per bit-length class, each flagged when it is in
 
-    letter, path-alphabet      (alphabet is logarithmic, so ~loglog bits)
-    b       bit length of the position's strict father value sf (0 = none)
-    kx      chain index of the candidate removed at this position (0 = none)
-    ord     index of the block holding sf's data inside its window group
+    S(v) = ({sf(v)} | S(sf(v))) - {X(v)},   X(v) indexed by kx[v].
 
-where sf(x) = f[x] when A[x] < f[x] (f[x] = A[x-1]+1), else sf(f[x]).
-Word-sized values live only in *blocks*, one per distinct strict-father value
-per window: the block for value v holds v's strict ancestor chain (two slots
-per bit-length class; the chain halves every three steps, so two suffice)
-and flag bits marking which ancestors are valid candidates.  For bit class
-a = bitlen(v), each group of at most 48 consecutive a-blocks serves one input
-window [l*2^a, (l+1)*2^a); the 48 cap is the window property of strict
-values, asserted, never assumed.
-
-The candidate set above a committed node u satisfies
-
-    S(u) = ({sf(u)} | S(sf(u))) - {X(u)}
-
-with X(u) the value indexed by kx[u], so membership tests and block creation
-are a constant number of slot reads on the source block, found through u's
-own (b, ord) record: the block for any committed value v is the one recorded
-by the position v itself is the strict father of; equivalently, the block
-for sf(u) is groups[(b[u], u >> b[u])][ord[u]] for every committed u.
-
-Blocks are filled eagerly by default; in lazy mode only the value header is
-written at creation and contents are copied by a budgeted scheduler
-(smallest class first, one window of grace), with reads chasing through
-source blocks until a filled one is met.  Chase lengths are bounded by a
-constant and asserted.
-
-See docs/succinct_layout.md for the bit-exact layout (format 1) and the
-memory accounting rules.
+Storage is flat: bytearrays per position, an array per block field, one
+array of chain words, and per class a directory of block ids with a head
+per window, so the block of sf(u) is ids[a][heads[a][u >> a] + ord[u]] with
+a = b[u].  Lazy mode copies chains on a budgeted scheduler and reads chase
+through unfilled source blocks a bounded, asserted number of steps.  The
+layout (format 1), its Python form and the accounting rules are in
+docs/succinct_layout.md.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 
 from .pi_online import PushAfterFailure, Verdict, WitnessTracker
 
@@ -48,6 +30,7 @@ __all__ = ["SuccinctValidator", "CapacityViolation", "window_distinct_check", "W
 
 WINDOW_CAP = 48
 CHASE_CAP = 24  # bound on in-flight lookups; constant by the copy deadline
+CLASSES = 64  # bit lengths of values an array("q") holds
 
 
 class CapacityViolation(AssertionError):
@@ -55,216 +38,240 @@ class CapacityViolation(AssertionError):
     reserves; an internal bug, never a data-dependent condition."""
 
 
-class _Block:
-    __slots__ = ("value", "src_value", "removed", "chain", "flags", "ready", "deadline", "fill_pos")
-
-    def __init__(self, value: int, src_value: int, removed: int, deadline: int):
-        self.value = value
-        self.src_value = src_value  # strict father of the node `value`
-        self.removed = removed  # X(value); 0 = nothing removed
-        self.chain: list[int] | None = None  # strict ancestors of value, descending; set once ready
-        self.flags: int = 0  # bit t set = chain[t] in S(value)
-        self.ready = False
-        self.deadline = deadline  # must be ready before this position (lazy mode)
-        self.fill_pos = 0  # chain words copied so far
-
-
 class SuccinctValidator(WitnessTracker):
     def __init__(self, n_max: int = 2**32, lazy: bool = False, beta: int = 8):
+        if n_max < 1 or beta < 1:
+            raise ValueError(f"n_max and beta must be at least 1, got {n_max} and {beta}")
         super().__init__()
         self.n_max = n_max
         self.lazy = lazy
         self.beta = beta
-        # per-position narrow records (letter and path alphabet in the base)
-        self._b: list[int] = []
-        self._kx: list[int] = []
-        self._ord: list[int] = []
+        self._b = bytearray()
+        self._kx = bytearray()
+        self._ord = bytearray()
         self._prev_a = -1  # A[0] = -1 makes the father of position 1 zero
-        # block pools: (alpha, window) -> blocks in creation order
-        self._groups: dict[tuple[int, int], list[_Block]] = {}
-        # lazy copying
-        self._waiting: dict[int, deque[_Block]] = {}
-        self._copylist: dict[int, deque[_Block]] = {}
-        # class bit vectors: bit g of _marked = class g's window ended with
-        # blocks waiting; bit g of _busy = _copylist[g] is non-empty
-        self._marked = 0
-        self._busy = 0
+        # block columns by block id; source and removed are kept in lazy mode
+        self._value = array("q")
+        self._source = array("q")  # block of sf(value), -1 if none
+        self._removed = array("q")  # X(value), 0 if none
+        self._start = array("q")  # run of chain words in _words
+        self._len = bytearray()
+        self._occ1 = array("Q")  # bit c: a class-c chain word; bit 0: ready
+        self._occ2 = array("Q")  # bit c: two class-c chain words
+        self._words = array("q")  # value << 1 | member of S(block value)
+        # per class: block ids in creation order, and window l's first index
+        self._ids = [array("q") for _ in range(CLASSES)]
+        self._heads = [array("q") for _ in range(CLASSES)]
+        self._window_fill_max = 0
+        # lazy: class g copies ids[g][copy_head[g]:wait_head[g]], the rest
+        # waits; copied[g] words of the copy head are done
+        self._deadline = array("q")
+        self._copy_head = [0] * CLASSES
+        self._wait_head = [0] * CLASSES
+        self._copied = [0] * CLASSES
+        self._marked = 0  # bit g: class g's window ended with blocks waiting
+        self._busy = 0  # bit g: class g's copy list is non-empty
         self._chase_max = 0
 
-    # -- record plumbing ------------------------------------------------------
-
-    def _sf_block(self, u: int) -> _Block:
-        """Block of sf(u), addressed through u's own record."""
+    def _sf_block(self, u: int) -> int:
+        """Block of sf(u), through u's own record (b[u] > 0)."""
         alpha = self._b[u - 1]
-        group = self._groups[(alpha, u >> alpha)]
-        return group[self._ord[u - 1]]
+        return self._ids[alpha][self._heads[alpha][u >> alpha] + self._ord[u - 1]]
 
-    def _sf_value(self, u: int) -> int:
-        return 0 if self._b[u - 1] == 0 else self._sf_block(u).value
+    def _find_word(self, blk: int, a: int) -> int:
+        """Index in _words of a in the ready block's chain, or -1: the first
+        class-bitlen(a) word's rank counts the higher classes' mask bits."""
+        c = a.bit_length()
+        o1 = self._occ1[blk]
+        if not o1 >> c & 1:
+            return -1
+        o2 = self._occ2[blk]
+        i = self._start[blk] + (o1 >> c + 1).bit_count() + (o2 >> c + 1).bit_count()
+        if self._words[i] >> 1 == a:
+            return i
+        if o2 >> c & 1 and self._words[i + 1] >> 1 == a:
+            return i + 1
+        return -1
 
-    # -- reads that may chase through unfilled blocks ---------------------------
-
-    def _walk(self, u: int, a: int = -1, removed: int = 0, last: int = -1) -> tuple[int, int, int, _Block | None]:
-        """Walk chain(u) = [sf(u), sf(sf(u)), ...] level by level through
-        unfilled blocks.
-
-        Level t holds the chain's t-th value (0 past its end), that value's
-        block, and the removal above it: ``removed`` at level 0, then the
-        ``removed`` of each unfilled block passed.  The walk stops at the
-        first level t that is ``last``, whose value or removal is ``a`` (the
-        defaults match no level), that ends the chain, or whose block is
-        filled (its chain and flags stand for all deeper levels).  Notes t
-        as a chase length and returns (t, value, removal, block).
-        """
-        block = self._sf_block(u) if self._b[u - 1] else None
-        value = block.value if block else 0
+    def _walk(self, u: int, a: int = -1, removed: int = 0, last: int = -1) -> tuple[int, int, int, int]:
+        """Walk chain(u) = [sf(u), sf(sf(u)), ...] through unfilled blocks,
+        taking each one's removal, to the first level that is ``last``,
+        whose value or removal is ``a``, that ends the chain (value 0, block
+        -1) or whose block is filled.  Notes the chase length t; returns
+        (t, value, removal, block)."""
+        if not self._b[u - 1]:
+            return 0, 0, removed, -1
+        values, occ1 = self._value, self._occ1
+        blk = self._sf_block(u)
+        value = values[blk]
         t = 0
-        while t != last and a != value and a != removed and value and not block.ready:
-            value, removed = block.src_value, block.removed
-            block = self._sf_block(block.value) if value else None
+        while blk >= 0 and t != last and a != value and a != removed and not occ1[blk] & 1:
+            removed = self._removed[blk]
+            blk = self._source[blk]
+            value = values[blk] if blk >= 0 else 0
             t += 1
             if t > CHASE_CAP:
                 raise AssertionError("in-flight chase exceeded its constant bound")
         if t > self._chase_max:
             self._chase_max = t
-        return t, value, removed, block
+        return t, value, removed, blk
 
     def _chain_find(self, u: int, a: int) -> int:
-        """1-based index of a in chain(u) if a is in S(u), else 0; a committed
-        node's set is S(u) = ({sf(u)} | S(sf(u))) - {X(u)}."""
-        t, value, removed, block = self._walk(u, a, self._x_value(u))
+        """1-based index of a in chain(u) if a is in S(u), else 0."""
+        t, value, removed, blk = self._walk(u, a, self._x_value(u))
         if a == removed or value == 0:
             return 0
         if a == value:
             return t + 1
-        chain = block.chain
-        if a not in chain:
-            return 0
-        s = chain.index(a)
-        return t + 2 + s if block.flags >> s & 1 else 0
+        i = self._find_word(blk, a)
+        return t + 2 + i - self._start[blk] if i >= 0 and self._words[i] & 1 else 0
 
     def _chain_select(self, u: int, r: int) -> int:
         """r-th element (1-based) of chain(u)."""
-        t, value, _, block = self._walk(u, last=r - 1)
+        t, value, _, blk = self._walk(u, last=r - 1)
         if t == r - 1:
             return value
-        if block is None or r - 2 - t >= len(block.chain):
+        if blk < 0 or r - 2 - t >= self._len[blk]:
             raise AssertionError(f"chain of {u} is shorter than {r}")
-        return block.chain[r - 2 - t]
+        return self._words[self._start[blk] + r - 2 - t] >> 1
 
     def _x_value(self, u: int) -> int:
         """X(u): the candidate removed going from sf(u)'s set to u's set."""
         k = self._kx[u - 1]
-        return 0 if k == 0 else self._chain_select(u, k)
-
-    # -- block creation ---------------------------------------------------------
+        return self._chain_select(u, k) if k else 0
 
     def _ensure_block(self, value: int, pos: int) -> int:
         """Find or create the block for ``value`` in the window of ``pos``;
-        returns its ordinal within the group."""
+        returns its ordinal within the group, the tail of ids[alpha]."""
         alpha = value.bit_length()
         window = pos >> alpha
-        group = self._groups.setdefault((alpha, window), [])
-        for ordinal, blk in enumerate(group):  # <= 48 headers, constant scan
-            if blk.value == value:
-                return ordinal
-        if len(group) >= WINDOW_CAP:
-            raise CapacityViolation(
-                f"window (alpha={alpha}, l={window}) already holds {WINDOW_CAP} values"
-            )
-        src = self._sf_value(value)
+        ids, heads = self._ids[alpha], self._heads[alpha]
+        count = len(ids)
+        if window < len(heads):
+            first = heads[window]
+            for k in range(first, count):  # <= 48 values, constant scan
+                if self._value[ids[k]] == value:
+                    return k - first
+            if count - first >= WINDOW_CAP:
+                raise CapacityViolation(f"window (alpha={alpha}, l={window}) already holds {WINDOW_CAP} values")
+        else:  # also heads the empty windows since the class's last block
+            heads.extend((count,) * (window + 1 - len(heads)))
+            first = count
+        if count - first >= self._window_fill_max:
+            self._window_fill_max = count - first + 1
+
+        blk = len(self._value)
+        if self._b[value - 1]:
+            source = self._sf_block(value)
+            length = 1 + self._len[source]
+        else:
+            source, length = -1, 0
         removed = self._x_value(value)
-        blk = _Block(value, src, removed, deadline=(window + 2) << alpha)
-        group.append(blk)
+        words = self._words
+        self._value.append(value)
+        self._start.append(len(words))
+        self._len.append(length)
+        self._occ1.append(0)
+        self._occ2.append(0)
+        ids.append(blk)  # lazy: onto the waiting list
         if self.lazy:
-            self._waiting.setdefault(alpha, deque()).append(blk)
+            self._source.append(source)
+            self._removed.append(removed)
+            self._deadline.append((window + 2) << alpha)
+            words.frombytes(bytes(8 * length))  # the run, reserved
         else:
-            self._fill(blk)
-        return len(group) - 1
+            if length:  # the source value, then the source's run
+                words.append(self._value[source] << 1 | 1)
+                if length > 1:
+                    s = self._start[source]
+                    words.extend(words[s : s + length - 1])
+            self._seal(blk, source, removed)
+        return count - first
 
-    def _fill(self, blk: _Block, budget: int = 1 << 30) -> tuple[bool, int]:
-        """Copy up to ``budget`` chain words into blk from its source block;
-        once all are copied, set the flags and mark blk ready.  Returns
-        (ready, budget left).  Eager mode fills each block at creation, when
-        its source block is already filled."""
-        w = blk.src_value
-        if w:
-            src = self._sf_block(blk.value)
-            assert src.ready, (
-                "source block not filled: a class-g block's source is the block "
-                "recorded at its value v < 2^g, created earlier in a class no "
-                "larger, so the ticks and finish() (both lowest class first) "
-                "fill it first"
-            )
-            chain = [w] + src.chain
-            flags = (src.flags << 1) | 1  # inherit S(w) flags, add w itself
-        else:
-            chain, flags = [], 0
-        left = len(chain) - blk.fill_pos
-        if budget < left:
-            blk.fill_pos += budget
-            return False, 0
-        if blk.removed in chain:
-            flags &= ~(1 << chain.index(blk.removed))
-        blk.chain = chain
-        blk.flags = flags
-        blk.ready = True
-        return True, budget - (left or 1)  # an empty chain costs one step
+    def _seal(self, blk: int, source: int, removed: int) -> None:
+        """Mark blk ready once its run is copied: the source's class masks
+        plus the source value's class, and X(value)'s flag cleared."""
+        if source < 0:
+            self._occ1[blk] = 1
+            return
+        o1, o2 = self._occ1[source], self._occ2[source]
+        bit = 1 << self._value[source].bit_length()
+        assert not o2 & bit, "a third chain word in one bit-length class"
+        self._occ1[blk] = o1 | bit  # bit 0 comes with it: the source is ready
+        self._occ2[blk] = o2 | o1 & bit
+        i = self._find_word(blk, removed) if removed else -1
+        if i >= 0:
+            self._words[i] &= ~1
 
-    # -- lazy copying ------------------------------------------------------------
+    def _fill(self, gamma: int, budget: int) -> int:
+        """Copy up to ``budget`` words into the run of class gamma's copy
+        head (word 0 the source value, then the source's run); seal and pop
+        it once complete.  Returns the budget left."""
+        c = self._copy_head[gamma]
+        blk = self._ids[gamma][c]
+        length = self._len[blk]
+        done = self._copied[gamma]
+        left = length - done
+        source = self._source[blk]
+        if length:
+            # the source is recorded at its value v < 2^gamma, created earlier
+            # in a class no larger, so the lowest-class-first order filled it
+            assert self._occ1[source] & 1, "source block not filled"
+            words = self._words
+            start = self._start[blk]
+            end = done + budget if budget < left else length
+            if done == 0:
+                words[start] = self._value[source] << 1 | 1
+                done = 1
+            if done < end:
+                s = self._start[source] - 1
+                words[start + done : start + end] = words[s + done : s + end]
+            if budget < left:
+                self._copied[gamma] = end
+                return 0
+            self._copied[gamma] = 0
+        self._seal(blk, source, self._removed[blk])
+        self._copy_head[gamma] = c + 1
+        if c + 1 == self._wait_head[gamma]:
+            self._busy &= ~(1 << gamma)
+        return budget - (left or 1)  # an empty chain costs one step
 
     def _scheduler_tick(self, pos: int) -> None:
         """Mark window boundaries, check deadlines, spend the copy budget.
 
         Class g's deadlines are multiples of 2^g and do not decrease along
-        its lists, so checking the heads of class g only where a class-g
-        window ends finds a missed deadline at the first position that
-        misses one."""
+        ids[g], so checking its first pending block only where a class-g
+        window ends finds a miss at the first position that misses one.
+        The budget goes to the lowest class with a copy list or a mark; a
+        marked class first moves its waiting list onto its copy list."""
         p, gamma = pos, 1
-        while p % 2 == 0:
-            wl = self._waiting.get(gamma)
-            if wl:
+        while not p & 1:
+            ids, c = self._ids[gamma], self._copy_head[gamma]
+            if self._wait_head[gamma] < len(ids):
                 self._marked |= 1 << gamma
-            for lst in (wl, self._copylist.get(gamma)):
-                if lst and not lst[0].ready and lst[0].deadline <= pos:
-                    raise AssertionError(f"copy deadline missed at position {pos}")
+            if c < len(ids) and self._deadline[ids[c]] <= pos:
+                raise AssertionError(f"copy deadline missed at position {pos}")
             p >>= 1
             gamma += 1
         budget = self.beta
         while budget > 0 and (self._busy or self._marked):
-            gamma = self._smallest_pending()
-            lst = self._copylist[gamma]
-            done, budget = self._fill(lst[0], budget)
-            if done:
-                lst.popleft()
-                if not lst:
-                    self._busy &= ~(1 << gamma)
-
-    def _smallest_pending(self) -> int:
-        """Lowest class with a copy list or a window mark; a marked class
-        first moves its waiting list onto its copy list."""
-        pending = self._busy | self._marked
-        gamma = (pending & -pending).bit_length() - 1
-        if self._marked >> gamma & 1:
-            self._copylist.setdefault(gamma, deque()).extend(self._waiting[gamma])
-            self._waiting[gamma].clear()
-            self._marked &= ~(1 << gamma)
-            self._busy |= 1 << gamma
-        return gamma
+            pending = self._busy | self._marked
+            gamma = (pending & -pending).bit_length() - 1
+            if self._marked >> gamma & 1:
+                self._wait_head[gamma] = len(self._ids[gamma])
+                self._marked &= ~(1 << gamma)
+                self._busy |= 1 << gamma
+            budget = self._fill(gamma, budget)
 
     def finish(self) -> None:
-        """Drain pending copies (lazy mode); deadlines no longer apply."""
-        for gamma, wl in self._waiting.items():
-            if wl:
-                self._copylist.setdefault(gamma, deque()).extend(wl)
-                wl.clear()
-        self._marked = 0
-        for _, lst in sorted(self._copylist.items()):  # lowest class first, as the ticks
-            while lst:  # an unbounded fill always completes
-                self._fill(lst.popleft())
-        self._busy = 0
-
-    # -- the push ------------------------------------------------------------------
+        """Drain pending copies (lazy mode), lowest class first; deadlines
+        no longer apply."""
+        if self.lazy:
+            for gamma, ids in enumerate(self._ids):
+                self._wait_head[gamma] = len(ids)
+                while self._copy_head[gamma] < len(ids):
+                    self._fill(gamma, 1 << 30)
+            self._marked = self._busy = 0
 
     def push(self, a: int) -> Verdict:
         return self.push_many((a,))
@@ -274,7 +281,8 @@ class SuccinctValidator(WitnessTracker):
             raise PushAfterFailure(f"stream failed at {self.failed_at}")
         b_list, kx_list, ord_list = self._b, self._kx, self._ord
         letters, alphs = self._letter, self._alph
-        chain_find, sf_value, ensure_block = self._chain_find, self._sf_value, self._ensure_block
+        chain_find, sf_block, ensure_block = self._chain_find, self._sf_block, self._ensure_block
+        block_value = self._value
         next_letter = self._next_letter
         tick = self._scheduler_tick if self.lazy else None
         x = len(letters)
@@ -292,7 +300,7 @@ class SuccinctValidator(WitnessTracker):
                     return self._fail(x)
                 kx, sf = 1 + idx, f
             else:  # a == f: the slope inherits the removal record and strict father
-                kx, sf = kx_list[f - 1], sf_value(f)
+                kx, sf = kx_list[f - 1], block_value[sf_block(f)] if b_list[f - 1] else 0
 
             if sf > 0:
                 ordinal = ensure_block(sf, x)
@@ -326,31 +334,24 @@ class SuccinctValidator(WitnessTracker):
         ord_bits = (WINDOW_CAP - 1).bit_length()
         per_position = n * (2 * sigma_bits + b_bits + kx_bits + ord_bits)
 
-        # groups only grow: their sizes count every block ever created
-        used_blocks = blocks_created = window_fill_max = 0
-        for (alpha, _), group in self._groups.items():
-            used_blocks += len(group) * _block_bits(alpha)
-            blocks_created += len(group)
-            window_fill_max = max(window_fill_max, len(group))
+        used_blocks = sum(len(cls) * _block_bits(alpha) for alpha, cls in enumerate(self._ids))
         allocated_blocks = 0
         for alpha in range(1, max(1, n.bit_length()) + 1):
             windows = (n >> alpha) + 1
             allocated_blocks += WINDOW_CAP * windows * _block_bits(alpha)
 
-        sched_entries = sum(len(d) for d in self._waiting.values()) + sum(
-            len(d) for d in self._copylist.values()
-        )
+        sched_entries = sum(len(cls) - c for cls, c in zip(self._ids, self._copy_head)) if self.lazy else 0
         scheduler = sched_entries * (nm.bit_length() + 12) + 2 * nm.bit_length()
         return {
             "memory_bits": per_position + used_blocks + scheduler + 4 * nm.bit_length(),
             "memory_bits_allocated": per_position + allocated_blocks,
-            "blocks_created": blocks_created,
+            "blocks_created": len(self._value),
             "chase_max": self._chase_max,
             "per_position": per_position,
             "blocks_used": used_blocks,
             "blocks_allocated_formula": allocated_blocks,
             "scheduler": scheduler,
-            "window_fill_max": window_fill_max,
+            "window_fill_max": self._window_fill_max,
             "total_ops": n + (self.failed_at is not None),
         }
 

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -12,25 +14,31 @@ from conftest import drive, local_streams
 
 FIG_PI = [0, 1, 0, 1, 2, 3, 4, 5, 2, 3, 4, 5, 0]
 
-_fill = SuccinctValidator._fill
+_seal = SuccinctValidator._seal
 
 
-def _checked_fill(self, blk, budget=1 << 30):
-    """``SuccinctValidator._fill``, checking the chain layout of every block
+def _chain(v, blk):
+    """Block ``blk``'s chain as (value, flag) pairs: the flag says whether
+    the value is in S(block value)."""
+    start = v._start[blk]
+    return [(w >> 1, w & 1) for w in v._words[start : start + v._len[blk]]]
+
+
+def _checked_seal(self, blk, source, removed):
+    """``SuccinctValidator._seal``, checking the chain layout of every block
     that becomes ready: it strictly descends, and each bit-length class
     holds at most the two slots the layout reserves."""
-    ready, left = _fill(self, blk, budget)
-    if ready:
-        chain = blk.chain
-        assert all(x > y for x, y in zip(chain, chain[1:])), ("chain not descending", chain)
-        classes = Counter(v.bit_length() for v in chain)
-        assert max(classes.values(), default=0) <= 2, ("two slots per class exceeded", chain)
-    return ready, left
+    _seal(self, blk, source, removed)
+    chain = [value for value, _ in _chain(self, blk)]
+    assert all(x > y for x, y in zip(chain, chain[1:])), ("chain not descending", chain)
+    classes = Counter(v.bit_length() for v in chain)
+    assert max(classes.values(), default=0) <= 2, ("two slots per class exceeded", chain)
 
 
 @pytest.fixture
 def checked_fill(monkeypatch):
-    monkeypatch.setattr(SuccinctValidator, "_fill", _checked_fill)
+    """Every block of the test is checked as it is sealed, in either mode."""
+    monkeypatch.setattr(SuccinctValidator, "_seal", _checked_seal)
 
 
 def test_fig_array_matches_realtime(fig_word):
@@ -45,6 +53,18 @@ def test_fig_array_matches_realtime(fig_word):
 
 def test_zero_one_one_rejected():
     assert drive(SuccinctValidator(n_max=16), [0, 1, 1]) == 3
+
+
+@pytest.mark.parametrize("kwargs", [{"beta": 0}, {"beta": -3}, {"lazy": True, "beta": 0}, {"n_max": 0}, {"n_max": -5}])
+def test_constructor_rejects_sizes_below_one(kwargs):
+    with pytest.raises(ValueError, match="must be at least 1"):
+        SuccinctValidator(**kwargs)
+
+
+def test_smallest_sizes_accepted():
+    v = SuccinctValidator(n_max=1, lazy=True, beta=1)
+    assert v.push(0).valid
+    assert v.stats()["per_position"] > 0
 
 
 @pytest.mark.usefixtures("checked_fill")
@@ -72,6 +92,49 @@ def test_random_streams_both_modes(lazy):
             v.finish()
         assert v.witness() == b.witness()
         assert v.stats()["chase_max"] <= 8
+
+
+def _blocks(v):
+    """Every block's value, chain words with their flags, and class masks."""
+    return [(v._value[blk], _chain(v, blk), v._occ1[blk], v._occ2[blk]) for blk in range(len(v._value))]
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [random_valid_pi(400, seed=300 + rep) for rep in range(4)] + [compute_pi(fibonacci_word(3000))],
+    ids=[f"random{rep}" for rep in range(4)] + ["fibonacci"],
+)
+@pytest.mark.parametrize("beta", [2, 8])
+@pytest.mark.usefixtures("checked_fill")
+def test_lazy_blocks_equal_eager_after_finish(arr, beta):
+    eager = SuccinctValidator(n_max=4096)
+    lazy = SuccinctValidator(n_max=4096, lazy=True, beta=beta)
+    assert eager.push_many(arr).valid and lazy.push_many(arr).valid
+    lazy.finish()
+    assert eager.stats()["blocks_created"] > 0
+    assert _blocks(lazy) == _blocks(eager)
+
+
+def _heap_per_position(make, arr):
+    """tracemalloc bytes held by a live engine after pushing arr, per value."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        engine = make()
+        assert engine.push_many(arr).valid
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return held / len(arr)
+
+
+@pytest.mark.parametrize("n", [20_000, pytest.param(10**6, marks=pytest.mark.slow)])
+def test_heap_below_basic(n):
+    for name, arr in [("fibonacci", compute_pi(fibonacci_word(n))), ("random", random_valid_pi(n + 1, 1)[:n])]:
+        succinct = _heap_per_position(SuccinctValidator, arr)
+        basic = _heap_per_position(OnlineValidator, arr)
+        assert succinct < basic, (name, n, succinct, basic)
 
 
 def test_unary_stays_small():
