@@ -2,10 +2,11 @@
 
 Skew-binary jump pointers (E. W. Myers, "An applicative random-access
 stack", IPL 1983): every node keeps one parent, one jump and one depth, in
-three flat columns.  add_leaf sets the jump in O(1), queries step by jump or
-by parent in O(log n).  Their operation counts are kept apart from the
-enclosing validator's core ops, so its per-push work can be reported with and
-without them (Alstrup and Holm, ICALP 2000, give O(1) queries).
+three flat columns; callers read ``parent`` and ``depth`` in place.  add_leaf
+sets the jump in O(1), queries step by jump or by parent in O(log n).  Their
+operation counts are kept apart from the enclosing validator's core ops, so
+its per-push work can be reported with and without them (Alstrup and Holm,
+ICALP 2000, give O(1) queries).
 
 Nodes are numbered 1..n in insertion order; node 1 is the root.  Slot 0 is a
 virtual node at depth 0 above the root, so no column needs a special case.
@@ -18,9 +19,9 @@ __all__ = ["JumpPointerLA"]
 
 class JumpPointerLA:
     def __init__(self):
-        self._parent = [0]
+        self.parent = [0]
         self._jump = [0]
-        self._depth = [0]
+        self.depth = [0]
         self.ops = 0
 
     def add_leaf(self, parent: int) -> int:
@@ -29,28 +30,21 @@ class JumpPointerLA:
         Myers' rule: when the parent's jump and the jump's own jump span the
         same number of levels, the new node jumps over both; otherwise it
         jumps to its parent."""
-        jump, depth = self._jump, self._depth
+        jump, depth = self._jump, self.depth
         j = jump[parent]
         jj = jump[j]
         dp = depth[parent]
         jump.append(jj if dp - depth[j] == depth[j] - depth[jj] else parent)
         depth.append(dp + 1)
-        self._parent.append(parent)
+        self.parent.append(parent)
         self.ops += 1
         return len(depth) - 1
 
-    def depth(self, node: int) -> int:
-        return self._depth[node]
-
-    def parent(self, node: int) -> int:
-        return self._parent[node]
-
     def la(self, node: int, delta: int) -> int:
         """Ancestor ``delta`` levels above ``node`` (delta 0 = the node)."""
-        depth = self._depth
+        parent, jump, depth = self.parent, self._jump, self.depth
         if delta < 0 or delta >= depth[node]:
             raise ValueError(f"no ancestor {delta} levels above node {node}")
-        parent, jump = self._parent, self._jump
         target = depth[node] - delta
         v = node
         while depth[v] > target:
@@ -63,7 +57,7 @@ class JumpPointerLA:
         """Father-chain reference; for cross-checks only."""
         v = node
         for _ in range(delta):
-            v = self._parent[v]
+            v = self.parent[v]
             if v == 0:
                 raise ValueError("walked past the root")
         return v

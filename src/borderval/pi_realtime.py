@@ -2,10 +2,10 @@
 
 Instead of candidate sets this validator keeps, per position, the depth d' in
 the strict failure forest and a bit vector indexed by d'-levels marking which
-levels carry a valid candidate.  The failure tree itself (father
-f[i] = A[i-1]+1), with each node's depth d, is stored once, in the
-level-ancestor structure: skew-binary jump pointers with O(1) add-leaf and
-O(log n) queries, whose ops are counted apart from the core ops.  d' follows
+levels carry a valid candidate.  The failure tree (father f[i] = A[i-1]+1,
+so A[i] = parent[i+1]-1 once node i+1 exists) and each node's depth d are
+stored once, in the level-ancestor structure: skew-binary jump pointers with
+O(1) add-leaf and O(log n) queries, whose ops are counted apart.  d' follows
 
     d'[1] = 1;  d'[i] = d'[f[i]] + (0 if A[i] == f[i] else 1)
 
@@ -48,7 +48,7 @@ class RealTimeValidator(WitnessTracker):
         super().__init__()
         self.n_max = n_max
         self._width = dprime_width(n_max)
-        self._a: list[int] = []
+        self._prev_a = -1  # A[0] = -1 makes the father of position 1 zero
         self._dp: list[int] = []
         self._bits: list[int] = []  # candidate vector per position, d'-indexed
         self._la = JumpPointerLA()
@@ -64,16 +64,19 @@ class RealTimeValidator(WitnessTracker):
     def push_many(self, values) -> Verdict:
         if self.failed_at is not None:
             raise PushAfterFailure(f"stream failed at {self.failed_at}")
-        a_list, dp_list, bits_list = self._a, self._dp, self._bits
+        dp_list, bits_list = self._dp, self._bits
         letters, alphs = self._letter, self._alph
         la = self._la
         add_leaf, la_query, parent, depth = la.add_leaf, la.la, la.parent, la.depth
         next_letter = self._next_letter
-        width = self._width
-        p = len(a_list)
-        f = a_list[-1] + 1 if a_list else 0
+        width, n_max = self._width, self.n_max
+        p = len(dp_list)
+        f = self._prev_a + 1
         for a in values:
             p += 1
+            if p > n_max:
+                self._prev_a = f - 1
+                raise ValueError(f"value {p} exceeds n_max={n_max}")
             if a < 0 or a > f:
                 return self._fail(p)
             ops = 1
@@ -86,20 +89,20 @@ class RealTimeValidator(WitnessTracker):
             else:
                 # inherited candidate vector: clear the father's own value, add the father
                 bits = bits_list[f - 1]
-                af = a_list[f - 1]
+                af = parent[f + 1] - 1
                 if af > 0:
                     bits &= ~(1 << dp_list[af - 1])
                 bits |= 1 << dp_list[f - 1]
                 ops += 4
 
                 if 0 < a < f:
-                    delta = depth(f) - depth(a)
+                    delta = depth[f] - depth[a]
                     ops += 3
                     if delta < 1:
                         return self._fail(p)
                     j = la_query(p, delta)
                     dp_a = dp_list[a - 1]
-                    if parent(j) != a or dp_list[j - 1] == dp_a or not bits & (1 << dp_a):
+                    if parent[j] != a or dp_list[j - 1] == dp_a or not bits & (1 << dp_a):
                         return self._fail(p)
 
                 dp_p = dp_list[f - 1] + (0 if a == f else 1)
@@ -107,7 +110,6 @@ class RealTimeValidator(WitnessTracker):
                     raise AssertionError(f"d' {dp_p} exceeds declared width {width}")
 
             letter, alph = next_letter(a, f)
-            a_list.append(a)
             dp_list.append(dp_p)
             bits_list.append(bits)
             letters.append(letter)
@@ -119,6 +121,7 @@ class RealTimeValidator(WitnessTracker):
             if la_ops > self._la_ops_push_max:
                 self._la_ops_push_max = la_ops
             f = a + 1
+        self._prev_a = f - 1
         return Verdict(True, None, self.max_alphabet)
 
     def stats(self) -> dict[str, int]:

@@ -282,12 +282,14 @@ class SuccinctValidator(WitnessTracker):
         b_list, kx_list, ord_list = self._b, self._kx, self._ord
         letters, alphs = self._letter, self._alph
         chain_find, sf_block, ensure_block = self._chain_find, self._sf_block, self._ensure_block
-        block_value = self._value
+        block_value, n_max = self._value, self.n_max
         next_letter = self._next_letter
         tick = self._scheduler_tick if self.lazy else None
         x = len(letters)
         for a in values:
             x += 1
+            if x > n_max:
+                raise ValueError(f"value {x} exceeds n_max={n_max}")
             f = self._prev_a + 1
             if a < 0 or a > f:
                 return self._fail(x)

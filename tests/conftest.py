@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from borderval.pi_online import OnlineValidator, PushAfterFailure, Verdict
@@ -26,6 +29,20 @@ def drive(validator, stream):
         if not verdict.valid:
             return verdict.position
     return None
+
+
+def heap_per_position(make, arr):
+    """tracemalloc bytes held by a live engine after pushing arr, per value."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        engine = make()
+        assert engine.push_many(arr).valid
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return held / len(arr)
 
 
 def validator_state(v):

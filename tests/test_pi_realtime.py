@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from borderval.border_core import pi_to_pi_prime
-from borderval.families import random_valid_pi
+from borderval.border_core import compute_pi, pi_to_pi_prime
+from borderval.families import fibonacci_word, random_valid_pi
 from borderval.level_ancestor import JumpPointerLA
 from borderval.oracle import enumerate_valid_pi
 from borderval.pi_online import OnlineValidator
 from borderval.pi_realtime import RealTimeValidator
 
-from conftest import drive, local_streams
+from conftest import drive, heap_per_position, local_streams
 
 FIG_PI = [0, 1, 0, 1, 2, 3, 4, 5, 2, 3, 4, 5, 0]
 
@@ -141,3 +141,34 @@ def test_push_after_failure_raises():
     assert not v.push(2).valid
     with pytest.raises(PushAfterFailure):
         v.push(0)
+
+
+def _state(v):
+    """Every field of a realtime engine, its level-ancestor columns included."""
+    return {**vars(v), "_la": vars(v._la)}
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 33, 1000])
+def test_push_past_n_max_raises(n_max):
+    """n_max values are accepted; the next one raises before it changes any
+    state, pushed alone or at the end of a longer batch."""
+    arr = compute_pi(fibonacci_word(n_max + 1))
+    ref = RealTimeValidator(n_max=n_max)
+    assert ref.push_many(arr[:n_max]).valid
+    v = RealTimeValidator(n_max=n_max)
+    with pytest.raises(ValueError, match=f"^value {n_max + 1} exceeds n_max={n_max}$"):
+        v.push_many(arr)
+    assert _state(v) == _state(ref)
+    with pytest.raises(ValueError, match="n_max"):
+        ref.push(arr[n_max])
+    assert _state(v) == _state(ref)
+
+
+def test_heap_below_basic():
+    """The failure tree is held once, so a live engine holds fewer heap
+    bytes than basic's candidate sets."""
+    n = 20_000
+    for name, arr in [("fibonacci", compute_pi(fibonacci_word(n))), ("random", random_valid_pi(n + 1, 1)[:n])]:
+        realtime = heap_per_position(lambda: RealTimeValidator(n_max=n), arr)
+        basic = heap_per_position(OnlineValidator, arr)
+        assert realtime < basic, (name, realtime, basic)

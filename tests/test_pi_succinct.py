@@ -1,5 +1,3 @@
-import gc
-import tracemalloc
 from collections import Counter
 
 import pytest
@@ -10,7 +8,7 @@ from borderval.oracle import enumerate_valid_pi
 from borderval.pi_online import OnlineValidator
 from borderval.pi_succinct import SuccinctValidator, window_distinct_check
 
-from conftest import drive, local_streams
+from conftest import drive, heap_per_position, local_streams
 
 FIG_PI = [0, 1, 0, 1, 2, 3, 4, 5, 2, 3, 4, 5, 0]
 
@@ -59,6 +57,23 @@ def test_zero_one_one_rejected():
 def test_constructor_rejects_sizes_below_one(kwargs):
     with pytest.raises(ValueError, match="must be at least 1"):
         SuccinctValidator(**kwargs)
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+@pytest.mark.parametrize("n_max", [1, 2, 33, 1000])
+def test_push_past_n_max_raises(n_max, lazy):
+    """n_max values are accepted; the next one raises before it changes any
+    state, pushed alone or at the end of a longer batch."""
+    arr = compute_pi(fibonacci_word(n_max + 1))
+    ref = SuccinctValidator(n_max=n_max, lazy=lazy)
+    assert ref.push_many(arr[:n_max]).valid
+    v = SuccinctValidator(n_max=n_max, lazy=lazy)
+    with pytest.raises(ValueError, match=f"^value {n_max + 1} exceeds n_max={n_max}$"):
+        v.push_many(arr)
+    assert vars(v) == vars(ref)
+    with pytest.raises(ValueError, match="n_max"):
+        ref.push(arr[n_max])
+    assert vars(v) == vars(ref)
 
 
 def test_smallest_sizes_accepted():
@@ -115,25 +130,11 @@ def test_lazy_blocks_equal_eager_after_finish(arr, beta):
     assert _blocks(lazy) == _blocks(eager)
 
 
-def _heap_per_position(make, arr):
-    """tracemalloc bytes held by a live engine after pushing arr, per value."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        engine = make()
-        assert engine.push_many(arr).valid
-        held = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-    return held / len(arr)
-
-
 @pytest.mark.parametrize("n", [20_000, pytest.param(10**6, marks=pytest.mark.slow)])
 def test_heap_below_basic(n):
     for name, arr in [("fibonacci", compute_pi(fibonacci_word(n))), ("random", random_valid_pi(n + 1, 1)[:n])]:
-        succinct = _heap_per_position(SuccinctValidator, arr)
-        basic = _heap_per_position(OnlineValidator, arr)
+        succinct = heap_per_position(SuccinctValidator, arr)
+        basic = heap_per_position(OnlineValidator, arr)
         assert succinct < basic, (name, n, succinct, basic)
 
 
