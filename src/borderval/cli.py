@@ -1,7 +1,11 @@
-"""Command-line front end: compute, validate, gen.
+r"""Command-line front end: compute, validate, gen.
 
-Input conventions: arrays are whitespace/newline-separated signed decimal
-integers; words are ASCII letters, or integers with --ints.  "-" reads stdin.
+Input conventions: arrays are signed decimal integers, [+-]?[0-9]+; words
+are ASCII letters, or integers with --ints.  "-" reads stdin.  Tokens are
+separated by ASCII whitespace only (space, \t, \n, \v, \f, \r), and a line
+ends at \n only, so error messages number lines as grep -n does.  Input is
+read in chunks of CHUNK_BYTES bytes; validate pushes each chunk's values
+before it reads the next, and never holds the whole input.
 Reports are plain text key=value lines led by a format=1 header; the verdict
 line is byte-identical across the border-array engines on identical input.
 
@@ -11,9 +15,10 @@ Exit codes: 0 valid, 1 invalid, 2 usage or I/O errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import families
 from .border_core import compute_pi, pi_to_pi_prime, text_to_word
@@ -28,25 +33,40 @@ EXIT_VALID = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
 
+# validate reads its input this many bytes at a time and pushes each chunk's
+# values before it reads the next, so it never holds the whole input
+CHUNK_BYTES = 4096
+
 
 class CliError(Exception):
     pass
 
 
-def _read_text(path: str) -> str:
+def _read_tokens(path: str) -> Iterator[tuple[bytes, int, list[bytes], int]]:
+    """The input ("-" is stdin) CHUNK_BYTES at a time: for each chunk its
+    text, the end of the whole tokens in it, those tokens, and the line the
+    text starts on.  The text past that end is the start of a token the
+    chunk cut; the next chunk's text begins with it."""
+    carry, line = b"", 1
     try:
-        if path == "-":
-            text = sys.stdin.read()
+        if path == "-":  # left open; a text stream put in place of stdin reads str
+            source = contextlib.nullcontext(getattr(sys.stdin, "buffer", sys.stdin))
         else:
-            with open(path, "r", encoding="ascii") as fh:
-                text = fh.read()
+            source = open(path, "rb")
+        with source as fh:
+            # reading at least the carry's length doubles the reads inside a
+            # long token, so that copying and splitting it stays linear
+            while data := fh.read(max(CHUNK_BYTES, len(carry))):
+                if isinstance(data, str):
+                    data = data.encode()
+                text = carry + data
+                tokens = text.split()
+                carry = tokens.pop() if tokens and not text[-1:].isspace() else b""
+                yield text, len(text) - len(carry), tokens, line
+                line += text.count(b"\n")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError:
-        raise CliError(f"{path}: not ASCII") from None
-    if not text.isascii():  # stdin decodes with the locale's encoding
-        raise CliError(f"{path}: not ASCII")
-    return text
+    yield carry, len(carry), [carry] if carry else [], line
 
 
 def _int_token(tok: str) -> int:
@@ -77,32 +97,43 @@ def _float_option(text: str) -> float:
     raise argparse.ArgumentTypeError(f"not a number: {text!r}")
 
 
-def _parse_ints(text: str, path: str) -> list[int]:
+def _parse_ints(text: bytes, end: int, tokens: list[bytes], line: int, path: str) -> list[int]:
+    """The integers of one chunk that _read_tokens reads."""
     # on ASCII text without "_", int() accepts exactly the tokens _int_token does
-    if "_" not in text:
+    if text.isascii() and b"_" not in text:
         try:
-            return list(map(int, text.split()))
+            return list(map(int, tokens))
         except ValueError:
             pass
-    # splitting line by line gives the same tokens: rescan to name the bad one's line
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for tok in line.split():
+    # splitting line by line gives the same tokens: check each, naming the first bad one's line
+    for lineno, line_text in enumerate(text[:end].split(b"\n"), start=line):
+        if not line_text.isascii():
+            raise CliError(f"{path}: not ASCII")
+        for tok in line_text.split():
             try:
-                _int_token(tok)
+                _int_token(tok.decode())
             except ValueError:
-                raise CliError(f"{path}:{lineno}: not an integer: {tok!r}") from None
-    raise CliError(f"{path}: not an integer")
+                raise CliError(f"{path}:{lineno}: not an integer: {tok.decode()!r}") from None
+    return list(map(int, tokens))  # what failed the fast check lies past end
 
 
-def _parse_word(text: str, path: str, as_ints: bool):
+def _read_ints(path: str) -> Iterator[list[int]]:
+    """The input's integers, one list per chunk that _read_tokens reads."""
+    for chunk in _read_tokens(path):
+        yield _parse_ints(*chunk, path)
+
+
+def _parse_word(path: str, as_ints: bool):
     if as_ints:
-        word = tuple(_parse_ints(text, path))
+        word = tuple(s for values in _read_ints(path) for s in values)
         if any(s < 1 for s in word):
             raise CliError(f"{path}: word symbols must be positive integers")
         return word
-    letters = "".join(text.split())
+    letters = b"".join(tok for _, _, tokens, _ in _read_tokens(path) for tok in tokens)
+    if not letters.isascii():  # a non-ASCII byte is never a separator
+        raise CliError(f"{path}: not ASCII")
     try:
-        return text_to_word(letters)
+        return text_to_word(letters.decode())
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -111,7 +142,7 @@ def _parse_word(text: str, path: str, as_ints: bool):
 
 
 def _cmd_compute(args) -> int:
-    word = _parse_word(_read_text(args.input), args.input, args.ints)
+    word = _parse_word(args.input, args.ints)
     values = compute_pi(word)
     if args.kind == "pi_prime":
         values = pi_to_pi_prime(values)
@@ -166,23 +197,31 @@ def _cmd_validate(args) -> int:
         raise CliError(f"--emit-witness applies to --kind pi only, not {args.kind}")
     if args.emit_pi and args.kind == "pi":
         raise CliError(f"--emit-pi applies to --kind pi_prime or g only, not {args.kind}")
-    values = _parse_ints(_read_text(args.input), args.input)
-    if len(values) > args.n_max:
-        raise CliError(f"{args.input}: {len(values)} values exceed --n-max {args.n_max}")
-    t0 = time.perf_counter()
-
-    if args.kind == "g":
-        verdict, engine = validate_g_stream(values)
-    else:
-        engine = spec.make(args.n_max)
-        verdict = _push_each(engine, values) if args.instrument else engine.push_many(values)
-    wall = time.perf_counter() - t0
+    engine = spec.make(args.n_max)
+    verdict, n, wall = Verdict(True), 0, 0.0
+    for values in _read_ints(args.input):
+        # after a rejection, or past --n-max, read on without pushing: n= counts
+        # every value, and a later parse error still exits 2
+        if values and verdict.valid and n + len(values) <= args.n_max:
+            t0 = time.perf_counter()
+            if args.kind != "g":
+                verdict = _push_each(engine, values) if args.instrument else engine.push_many(values)
+            elif n == 0:  # this chunk holds g[1]
+                verdict, engine = validate_g_stream(values)
+            else:  # what validate_g_stream pushes for g[2:]: A'[k-1] = g[k] - 1
+                verdict = engine.push_many(g - 1 for g in values)
+                if not verdict.valid:
+                    verdict = verdict._replace(position=verdict.position + 1)
+            wall += time.perf_counter() - t0
+        n += len(values)
+    if n > args.n_max:
+        raise CliError(f"{args.input}: {n} values exceed --n-max {args.n_max}")
 
     lines = ["format=1", f"kind={args.kind}", f"engine={args.engine}"]
     if verdict.valid:
-        lines.append(f"verdict=valid n={len(values)} min_alphabet={verdict.max_alphabet}")
+        lines.append(f"verdict=valid n={n} min_alphabet={verdict.max_alphabet}")
     else:
-        lines.append(f"verdict=invalid@{verdict.position} n={len(values)}")
+        lines.append(f"verdict=invalid@{verdict.position} n={n}")
     if verdict.valid and args.emit_pi:
         rec = engine.recovered_pi()
         lines.append("recovered_pi=" + " ".join(str(v) for v in rec))

@@ -1,20 +1,31 @@
+import contextlib
+import gc
 import importlib.util
 import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import borderval
 from borderval import families
-from borderval.cli import ENGINES, EXIT_INVALID, EXIT_USAGE, EXIT_VALID, main
+from borderval.border_core import compute_pi, pi_to_pi_prime
+from borderval.cli import CHUNK_BYTES, ENGINES, EXIT_INVALID, EXIT_USAGE, EXIT_VALID, main
+
+from conftest import heap_per_position
 
 
 def run_cli(argv, stdin_text=""):
+    """main's exit code, stdout and stderr; bytes reach stdin's binary buffer,
+    as a process's stdin does, and str a text stream without one."""
     old_in, old_out, old_err = sys.stdin, sys.stdout, sys.stderr
-    sys.stdin = io.StringIO(stdin_text)
+    if isinstance(stdin_text, bytes):
+        sys.stdin = io.TextIOWrapper(io.BytesIO(stdin_text))
+    else:
+        sys.stdin = io.StringIO(stdin_text)
     sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
     try:
         code = main(argv)
@@ -214,6 +225,147 @@ def test_validate_rejects_non_ascii_input(tmp_path):
     assert code == EXIT_USAGE and err == f"error: {path}: not ASCII\n"
     code, _, err = run_cli(["validate", "--kind", "pi", "--engine", "basic", "-"], "0 1 é")
     assert code == EXIT_USAGE and err == "error: -: not ASCII\n"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_only_ascii_whitespace_separates_and_only_newline_ends_a_line(source, tmp_path):
+    # str.split() also splits on \x1c-\x1f, and splitlines() also breaks at
+    # \f, \v, \x1c-\x1e and a lone \r; grep -n counts "\n" alone
+    cases = [
+        (["validate", "--kind", "pi", "--engine", "basic"], b"0 1\x1c2", "1: not an integer: '1\\x1c2'"),
+        (["validate", "--kind", "pi", "--engine", "basic"], b"0\f1\n0 x7\n", "2: not an integer: 'x7'"),
+        (["validate", "--kind", "pi", "--engine", "basic"], b"0\r1\v0\n\rx7", "2: not an integer: 'x7'"),
+        (["compute", "--kind", "pi", "--ints"], b"1\x1f2", "1: not an integer: '1\\x1f2'"),
+        (["compute", "--kind", "pi"], b"ab\x1cab", " not a letter: '\\x1c'"),
+    ]
+    for argv, data, message in cases:
+        path, name = _input(source, data, tmp_path)
+        assert run_cli([*argv, path], data) == (EXIT_USAGE, "", f"error: {name}:{message}\n")
+    code, out, _ = run_cli(["validate", "--kind", "pi", "--engine", "basic", "-"], b"\t0 \x0b1\f\r0\r\n")
+    assert code == EXIT_VALID and "verdict=valid n=3 min_alphabet=2" in out.splitlines()
+
+
+# -- input read in chunks ------------------------------------------------------
+
+
+def _input(source, data, tmp_path):
+    """The input argument that reads data from source, and its name in messages."""
+    if source == "stdin":
+        return "-", "-"
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    return str(path), str(path)
+
+
+def _fib_lines(chunks):
+    """Lines of a Fibonacci word's border array, about the given number of chunks long."""
+    lines = [str(v) for v in compute_pi(families.fibonacci_word(chunks * CHUNK_BYTES // 4))]
+    assert len("\n".join(lines)) > (chunks - 1) * CHUNK_BYTES
+    return lines
+
+
+def _cut_at(lines, offset, sep="\n"):
+    """lines joined by sep, with spaces before the line that starts at or
+    past offset so that it starts exactly there; and that line's index."""
+    text, i = "", 0
+    while len(text) + len(lines[i]) + len(sep) <= offset:
+        text += lines[i] + sep
+        i += 1
+    return text + " " * (offset - len(text)), i
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("layout", ["token_cut", "crlf_cut", "no_final_newline"])
+def test_chunk_boundaries_cut_nothing(layout, source, tmp_path):
+    lines = _fib_lines(6)
+    if layout == "crlf_cut":  # a chunk ends between "\r" and "\n"
+        head, i = _cut_at(lines, 3 * CHUNK_BYTES - 1, "\r\n")
+        text = head + "\r\n" + "\r\n".join(lines[i:]) + "\r\n"
+        assert text[3 * CHUNK_BYTES - 1 : 3 * CHUNK_BYTES + 1] == "\r\n"
+    else:  # a chunk ends inside a token
+        head, i = _cut_at(lines, 3 * CHUNK_BYTES - 1)
+        text = head + "\n".join(lines[i:]) + ("" if layout == "no_final_newline" else "\n")
+        assert len(lines[i]) > 1 and text[3 * CHUNK_BYTES - 1 : 3 * CHUNK_BYTES + 1] == lines[i][:2]
+    data = text.encode()
+    engine = ENGINES["basic"].make(len(lines))
+    verdict = engine.push_many(list(map(int, lines)))
+    path, _ = _input(source, data, tmp_path)
+    code, out, err = run_cli(["validate", "--kind", "pi", "--engine", "realtime", "--emit-witness", path], data)
+    assert (code, err) == (EXIT_VALID, "")
+    assert out.splitlines()[3:5] == [
+        f"verdict=valid n={len(lines)} min_alphabet={verdict.max_alphabet}",
+        "witness=" + " ".join(map(str, engine.witness())),
+    ]
+    data += b"\nx7"
+    last_line = data.count(b"\n") + 1
+    path, name = _input(source, data, tmp_path)
+    code, out, err = run_cli(["validate", "--kind", "pi", "--engine", "realtime", path], data)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {name}:{last_line}: not an integer: 'x7'\n")
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_compute_reads_a_token_longer_than_a_chunk(source, tmp_path):
+    word = families.fibonacci_word(5 * CHUNK_BYTES + 3)
+    data = "".join("ab"[s - 1] for s in word).encode()
+    path, _ = _input(source, data, tmp_path)
+    code, out, _ = run_cli(["compute", "--kind", "pi", path], data)
+    assert code == EXIT_VALID and out.split() == [str(v) for v in compute_pi(word)]
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("prefix", ["valid", "rejected"])
+@pytest.mark.parametrize("start", [100, -1, -2], ids=["inside", "cut_after_1", "cut_after_2"])
+@pytest.mark.parametrize("token", ["x7", "1_0", "\u00e9"])
+def test_late_bad_input_exits_2(token, start, prefix, source, tmp_path):
+    # the bad token starts this many bytes after the fifth chunk's start; a
+    # rejection earlier in the stream stops the pushes, not the reading
+    lines = _fib_lines(6)
+    if prefix == "rejected":
+        lines[2] = "5"
+    head, i = _cut_at(lines, 4 * CHUNK_BYTES + start)
+    data = (head + token + "\n" + "\n".join(lines[i:]) + "\n").encode()
+    path, name = _input(source, data, tmp_path)
+    code, out, err = run_cli(["validate", "--kind", "pi", "--engine", "realtime", path], data)
+    if token.isascii():
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {name}:{i + 1}: not an integer: {token!r}\n")
+    else:  # the message names no line, as for a non-ASCII byte anywhere
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {name}: not ASCII\n")
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("kind,engine", KIND_ENGINE)
+def test_n_max_exceeded_in_a_late_chunk(kind, engine, source, tmp_path):
+    # no engine sees a value past --n-max (realtime and succinct would raise),
+    # and the message counts every value of the input
+    pi = compute_pi(families.fibonacci_word(6 * CHUNK_BYTES // 2))
+    values = {"pi": pi, "pi_prime": pi_to_pi_prime(pi), "g": [0] + [v + 1 for v in pi_to_pi_prime(pi)]}[kind]
+    data = "\n".join(map(str, values)).encode()
+    n_max = data.count(b"\n", 0, 4 * CHUNK_BYTES) + 5
+    assert n_max < len(values)
+    path, name = _input(source, data, tmp_path)
+    code, out, err = run_cli(["validate", "--kind", kind, *ENGINES[engine].flags, "--n-max", str(n_max), path], data)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {name}: {len(values)} values exceed --n-max {n_max}\n")
+
+
+def test_validate_holds_no_more_than_its_engine(tmp_path):
+    # reading in chunks: the peak of a whole validate run stays within a
+    # constant of what the engine itself holds (a whole-file parse of this
+    # input held 4 MiB more, and twice that at twice the length)
+    n = 100_000
+    values = compute_pi(families.fibonacci_word(n))
+    path = tmp_path / "fib.txt"
+    path.write_text("\n".join(map(str, values)) + "\n", encoding="ascii")
+    held = heap_per_position(lambda: ENGINES["succinct"].make(n), values) * n
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["validate", "--kind", "pi", "--engine", "succinct", "--n-max", str(n), str(path)]) == EXIT_VALID
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 2**20
 
 
 @pytest.mark.parametrize("stream", ["", "0"])

@@ -3,6 +3,11 @@ verdict on the same stream, push by push; and on every engine one
 ``push_many`` call, ``push_many`` over chunks and one ``push`` per value
 leave the same verdict, counters and witness or recovered array.
 
+The CLI reads its input in chunks and pushes each chunk's values: on
+every kind and engine, its report (and exit code) equals the one it gives
+when the whole input is one chunk, pushed as one list, over any chunk size
+and ASCII-whitespace separators.
+
 Streams are valid border arrays of a few hundred values (sampled arrays,
 arrays of random words and of periodic words with a few letters changed),
 then up to three values are replaced.  Lazy copying runs with budgets 2
@@ -10,15 +15,20 @@ and 8; a budget of 1 can miss a copy deadline, which is asserted and
 pinned in tests/test_pi_succinct.py.
 """
 
+import io
+import sys
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from borderval.border_core import compute_pi, pi_to_pi_prime
+from borderval import cli
 from borderval.cli import ENGINES
 from borderval.families import fibonacci_word, long_query_word, random_valid_pi, random_word
 from borderval.pi_online import OnlineValidator, PushAfterFailure, Verdict
-from borderval.pi_prime_online import SlopeValidator
+from borderval.pi_prime_online import SlopeValidator, validate_g_stream
 from borderval.pi_succinct import SuccinctValidator
 
 from conftest import ReferenceSlopeValidator
@@ -147,6 +157,55 @@ def test_push_many_matches_push(stream, data):
 def test_slope_push_many_matches_push(case, data):
     stream, _ = case
     check_push_many_matches_push(SlopeValidator, stream, chunk_cuts(data, stream))
+
+
+# -- the CLI's chunked reads against one list -------------------------------------------
+
+
+def cli_report(argv, data, chunk_bytes):
+    """validate's exit code and report, without its wall_ms line, on data
+    as a process's stdin, read chunk_bytes at a time."""
+    old_in, old_out = sys.stdin, sys.stdout
+    sys.stdin, sys.stdout = io.TextIOWrapper(io.BytesIO(data)), io.StringIO()
+    try:
+        with mock.patch.object(cli, "CHUNK_BYTES", chunk_bytes):
+            code = cli.main(["validate", *argv, "-"])
+        return code, sys.stdout.getvalue().splitlines()[:-1]
+    finally:
+        sys.stdin, sys.stdout = old_in, old_out
+
+
+def check_chunked_cli_report(kind, name, stream, data):
+    spec = ENGINES[name]
+    if kind == "g":
+        stream = [0] + [v + 1 for v in stream]
+    sep = data.draw(st.sampled_from([b" ", b"\n", b"\r\n", b"\t", b" \x0b\x0c "]))
+    text = sep.join(b"%d" % v for v in stream)
+    text = data.draw(st.sampled_from([b"", b"\n"])) + text + data.draw(st.sampled_from([b"", sep]))
+    argv = ["--kind", kind, *spec.flags, "--n-max", str(len(stream))]
+    argv += ["--emit-witness"] if kind == "pi" else ["--emit-pi"]
+    argv += data.draw(st.sampled_from([[], ["--instrument"]]))
+    whole = cli_report(argv, text, len(text) + 1)
+    assert cli_report(argv, text, data.draw(st.integers(min_value=1, max_value=64))) == whole
+    # one chunk is one list: validate_g_stream's, or one push_many call
+    verdict = validate_g_stream(stream)[0] if kind == "g" else spec.make(len(stream)).push_many(stream)
+    assert whole[0] == (cli.EXIT_VALID if verdict.valid else cli.EXIT_INVALID)
+    if verdict.valid:
+        assert whole[1][3] == f"verdict=valid n={len(stream)} min_alphabet={verdict.max_alphabet}"
+    else:
+        assert whole[1][3] == f"verdict=invalid@{verdict.position} n={len(stream)}"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mutated_streams(), st.sampled_from([name for name, e in ENGINES.items() if "pi" in e.kinds]), st.data())
+def test_chunked_cli_matches_one_list(stream, name, data):
+    check_chunked_cli_report("pi", name, stream, data)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mutated_pi_prime_streams(), st.sampled_from(["pi_prime", "g"]), st.data())
+def test_chunked_slope_cli_matches_one_list(case, kind, data):
+    check_chunked_cli_report(kind, "slope", case[0], data)
 
 
 # -- the slope engine against its reference ------------------------------------------
